@@ -44,7 +44,7 @@ fn storage_catalog(mode: StorageMode) -> Catalog {
     let mut c = Catalog::new();
     c.set_threads(1);
     c.set_storage(mode);
-    c.set_segment_layout(SEG_ROWS, 8);
+    c.set_segment_rows(SEG_ROWS);
     c.insert("t", rel());
     if mode != StorageMode::Plain {
         // Pay the one-time encode outside the timed region.
@@ -94,7 +94,7 @@ fn bench_selective_scans(c: &mut Criterion) {
         let mut c = Catalog::new();
         c.set_threads(1);
         c.set_storage(StorageMode::Disk);
-        c.set_segment_layout(SEG_ROWS, 8);
+        c.set_segment_rows(SEG_ROWS);
         c.set_buffer_pool(pool);
         c.insert("t", rel());
         // Pay the encode + segment-file write (and, for the roomy pool,

@@ -38,21 +38,20 @@ pub struct EngineConfig {
     pub mem_budget: usize,
     /// How base-table scans source their batches (`RELALG_STORAGE`):
     /// the plain columnar image, compressed column segments decoded
-    /// up front, or segments paged through a small eviction cache.
-    /// Every mode produces byte-identical query output.
+    /// once per query, or segments leased through the shared buffer
+    /// pool from memory or disk. Every mode produces byte-identical
+    /// query output.
     pub storage: StorageMode,
     /// Rows per column segment under [`StorageMode::Segmented`] /
     /// [`StorageMode::Paged`] / [`StorageMode::Disk`]
     /// (`RELALG_SEGMENT_ROWS`, default 64Ki).
     pub segment_rows: usize,
-    /// Decoded segments the paged provider keeps resident per relation
-    /// (`RELALG_SEGMENT_CACHE`, default 8, floored at 1).
-    pub segment_cache: usize,
     /// Decoded segments the shared buffer pool keeps resident *across
-    /// all relations* under [`StorageMode::Disk`]
-    /// (`RELALG_BUFFER_POOL`, default 64, floored at 1). Per-scan
-    /// fetches become leases on this pool, so concurrent scans of
-    /// different relations compete for — and share — the same slots.
+    /// all relations* under [`StorageMode::Paged`] and
+    /// [`StorageMode::Disk`] (`RELALG_BUFFER_POOL`, default 64, floored
+    /// at 1). Per-scan fetches become leases on this pool, so concurrent
+    /// scans of different relations compete for — and share — the same
+    /// slots.
     pub buffer_pool: usize,
     /// Deterministic fault-injection schedule for the execution's I/O
     /// edges (`RELALG_FAULTS=<seed>:<rate>[:<kinds>]`), `None` (the
@@ -76,9 +75,10 @@ pub enum StorageMode {
     /// Compressed column segments ([`crate::segment::SegmentedImage`]),
     /// each decoded at most once per query and then kept resident.
     Segmented,
-    /// Compressed segments decoded lazily behind a clock-eviction cache
-    /// of [`EngineConfig::segment_cache`] decoded segments, so the
-    /// decoded working set — not the table — is what occupies memory.
+    /// Compressed in-memory segments decoded lazily into the shared
+    /// buffer pool of [`EngineConfig::buffer_pool`] decoded segments,
+    /// so the decoded working set — not the table — is what occupies
+    /// memory.
     Paged,
     /// Encoded segments live in page files on disk
     /// ([`crate::store::DiskImage`]); scans read them through a
@@ -98,9 +98,6 @@ pub const DEFAULT_PARALLEL_MIN_ROWS: usize = 4 * BATCH_SIZE;
 /// Default rows per column segment (64Ki).
 pub const DEFAULT_SEGMENT_ROWS: usize = 64 * 1024;
 
-/// Default decoded-segment cache capacity for the paged provider.
-pub const DEFAULT_SEGMENT_CACHE: usize = 8;
-
 /// Default shared buffer-pool capacity (decoded segments, all relations).
 pub const DEFAULT_BUFFER_POOL: usize = 64;
 
@@ -113,7 +110,6 @@ impl Default for EngineConfig {
             mem_budget: default_mem_budget(),
             storage: default_storage(),
             segment_rows: default_segment_rows(),
-            segment_cache: default_segment_cache(),
             buffer_pool: default_buffer_pool(),
             faults: default_faults(),
             deadline: default_deadline(),
@@ -180,19 +176,6 @@ fn default_segment_rows() -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or(DEFAULT_SEGMENT_ROWS)
-    })
-}
-
-/// `RELALG_SEGMENT_CACHE`, read once per process; unset, unparseable or
-/// zero means [`DEFAULT_SEGMENT_CACHE`].
-fn default_segment_cache() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("RELALG_SEGMENT_CACHE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_SEGMENT_CACHE)
     })
 }
 
@@ -291,16 +274,15 @@ impl Catalog {
         self.config.storage = mode;
     }
 
-    /// Set the segment geometry: rows per segment and the paged
-    /// provider's decoded-segment cache capacity (both floored at 1).
-    pub fn set_segment_layout(&mut self, segment_rows: usize, segment_cache: usize) {
+    /// Set the rows per storage segment (floored at 1).
+    pub fn set_segment_rows(&mut self, segment_rows: usize) {
         self.config.segment_rows = segment_rows.max(1);
-        self.config.segment_cache = segment_cache.max(1);
     }
 
     /// Set the shared buffer pool's capacity in decoded segments
-    /// (floored at 1). Scans under [`StorageMode::Disk`] lease slots
-    /// from the process-wide pool of this capacity.
+    /// (floored at 1). Scans under [`StorageMode::Paged`] and
+    /// [`StorageMode::Disk`] lease slots from the process-wide pool of
+    /// this capacity.
     pub fn set_buffer_pool(&mut self, segments: usize) {
         self.config.buffer_pool = segments.max(1);
     }
@@ -400,13 +382,11 @@ mod tests {
         c.set_mem_budget(0); // 0 = unbounded, like the env convention
         assert_eq!(c.config().mem_budget, usize::MAX);
         c.set_storage(StorageMode::Paged);
-        c.set_segment_layout(256, 2);
+        c.set_segment_rows(256);
         assert_eq!(c.config().storage, StorageMode::Paged);
         assert_eq!(c.config().segment_rows, 256);
-        assert_eq!(c.config().segment_cache, 2);
-        c.set_segment_layout(0, 0); // floored at 1
+        c.set_segment_rows(0); // floored at 1
         assert_eq!(c.config().segment_rows, 1);
-        assert_eq!(c.config().segment_cache, 1);
         c.set_storage(StorageMode::Disk);
         c.set_buffer_pool(3);
         assert_eq!(c.config().storage, StorageMode::Disk);
@@ -429,7 +409,7 @@ mod tests {
     fn segmented_catalog_derives_stats_from_segments() {
         let mut c = Catalog::new();
         c.set_storage(StorageMode::Segmented);
-        c.set_segment_layout(2, 1);
+        c.set_segment_rows(2);
         let rel = Arc::new(
             Relation::from_rows(
                 ["a"],

@@ -10,30 +10,25 @@
 //!    already-materialized scan, in which case the hash table indexes the
 //!    shared storage directly) and set-difference materializes its right
 //!    side.
-//! 2. **Pull** ([`Streamed`]): the prepared tree executes on one of two
-//!    engines.
+//! 2. **Pull** ([`Streamed`]): the prepared tree executes **vectorized**,
+//!    serial or morsel-parallel.
 //!
-//!    *Batched (default)*: when every streaming operator supports it
-//!    ([`batched_pipeline`]), execution is **vectorized** — scans read
-//!    [`BATCH_SIZE`]-row [`ColumnBatch`]es off each relation's cached
-//!    column-major image ([`crate::relation::ColumnarImage`]),
-//!    predicates evaluate column-at-a-time in typed tight loops
-//!    (`&[i64]` comparisons, pointer-first interned-string equality)
-//!    producing selection vectors, projections shuffle column pointers,
-//!    and hash-join probes hash the key columns of a whole batch before
-//!    emitting matches as zero-copy views of both the probe batch and
-//!    the build image. Breakers (build sides, distinct/difference
-//!    seen-sets, sort, aggregation) consume and emit batches too.
-//!
-//!    Cross-side predicates that used to force row fallbacks —
-//!    nested-loop theta joins, residual and non-equi semijoins — run
-//!    the *pair-batch evaluator*: candidate (probe, buffered-side)
-//!    pairs are assembled as zero-copy batches and masked by the same
-//!    vectorized kernels, so every operator is `[batched]`. The row
-//!    cursors survive for limited pulls ([`Streamed::collect_rows`]
-//!    with a cap, which must not overshoot) and
-//!    [`Streamed::for_each_row`]; [`Streamed::for_each_batch`] bridges
-//!    them into owned batches when needed.
+//!    *Serial*: scans read [`BATCH_SIZE`]-row [`ColumnBatch`]es off each
+//!    relation's cached column-major image
+//!    ([`crate::relation::ColumnarImage`]) or its provider-served
+//!    storage segments, predicates evaluate column-at-a-time in typed
+//!    tight loops (`&[i64]` comparisons, pointer-first interned-string
+//!    equality) producing selection vectors, projections shuffle column
+//!    pointers, and hash-join probes hash the key columns of a whole
+//!    batch before emitting matches as zero-copy views of both the probe
+//!    batch and the build image. Breakers (build sides,
+//!    distinct/difference seen-sets, sort, aggregation) consume and emit
+//!    batches too. Cross-side predicates — nested-loop theta joins,
+//!    residual and non-equi semijoins — run the *pair-batch evaluator*:
+//!    candidate (probe, buffered-side) pairs are assembled as zero-copy
+//!    batches and masked by the same vectorized kernels. A limited pull
+//!    ([`Streamed::collect_rows`] with a cap) stops pulling once the cap
+//!    is reached and truncates the last batch.
 //!
 //!    *Morsel-driven parallel*: when the catalog's
 //!    [`EngineConfig`] allows more than one worker and the optimizer
@@ -65,16 +60,14 @@
 //! recursive hybrid-hash protocol, and distinct/difference seen-sets
 //! flush with first-occurrence candidates resolved at end of input
 //! (sort and aggregation spill on their own consumers' side). Spilled
-//! execution is byte-identical to unbounded execution; only the
-//! batched pulls spill — the row cursors serve limited pulls, whose
-//! early exit a spill would defeat. A plan whose join build spilled
-//! runs serial.
+//! execution is byte-identical to unbounded execution. A plan whose
+//! join build spilled runs serial.
 //!
 //! [`ExecStats`] counts the intermediate buffers actually allocated plus
 //! the batches emitted (and their mean fill) and the spill counters
 //! (peak tracked bytes, spill events, spilled bytes), so tests (and
-//! `EXPLAIN`) can assert that a streaming chain copied nothing and
-//! actually ran vectorized. The old operator-at-a-time engine survives
+//! `EXPLAIN`) can assert that a streaming chain copied nothing and how
+//! full its batches ran. The old operator-at-a-time engine survives
 //! as [`execute_reference`], the differential baseline the property
 //! suites compare against.
 
@@ -87,11 +80,12 @@ use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::optimizer::{est_rows, est_rows_cached, EstCache};
 use crate::plan::Plan;
 use crate::pool::TaskPool;
-use crate::provider::{provider_for, ImageProvider, IoCounters};
-use crate::relation::{row_footprint, Column, ColumnarImage, Relation, Row};
+use crate::provider::{ImageProvider, IoCounters, MemImageProvider};
+use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
 use crate::spill::{merge_runs, MergeRuns, Record, Run, SpillCtx};
+use crate::store::{pool_for, PooledImageProvider, SegmentSource};
 use crate::value::Value;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -128,8 +122,7 @@ pub struct ExecStats {
     pub buffers: usize,
     /// Total rows copied into intermediate buffers.
     pub buffered_rows: usize,
-    /// Column batches emitted by batched pipelines (0 when every
-    /// pipeline ran on the row fallback path).
+    /// Column batches emitted by the pipelines.
     pub batches: usize,
     /// Logical rows carried by those batches.
     pub batch_rows: usize,
@@ -368,36 +361,6 @@ impl Counters {
     }
 }
 
-/// A row flowing through a stream: borrowed straight from shared base
-/// storage when no operator had to touch it, owned once an operator
-/// constructed a new tuple (projection, join concatenation).
-pub enum StreamRow<'a> {
-    /// A row aliasing the storage of a materialized relation.
-    Borrowed(&'a Row),
-    /// A freshly built row.
-    Owned(Row),
-}
-
-impl StreamRow<'_> {
-    /// View as a row regardless of ownership.
-    #[inline]
-    pub fn as_row(&self) -> &Row {
-        match self {
-            StreamRow::Borrowed(r) => r,
-            StreamRow::Owned(r) => r,
-        }
-    }
-
-    /// Take ownership (clones only if still borrowed).
-    #[inline]
-    pub fn into_owned(self) -> Row {
-        match self {
-            StreamRow::Borrowed(r) => r.clone(),
-            StreamRow::Owned(r) => r,
-        }
-    }
-}
-
 /// How a prepared pipeline will run morsel-parallel.
 struct ParallelSpec {
     /// Number of morsels the root pipeline's source spine splits into.
@@ -528,13 +491,6 @@ impl Streamed {
         self.spilled_build
     }
 
-    /// `true` iff the root pipeline runs vectorized: every streaming
-    /// operator from the leaves up has a batched implementation. Row
-    /// consumers still work either way — this only selects the engine.
-    pub fn batched(&self) -> bool {
-        self.root.batchable()
-    }
-
     /// Workers a full (unlimited) pull will fan out over: `1` means the
     /// plan runs serial (configured serial, too few estimated rows, a
     /// single morsel, or a gather-unsafe operator tree). Matches
@@ -554,120 +510,52 @@ impl Streamed {
         self.worker_batches.borrow().clone()
     }
 
-    /// Pull every row through `f` without materializing the output.
-    /// Always uses the row cursors: rows borrowed from base storage are
-    /// handed out without any per-row construction.
-    pub fn for_each_row(&self, mut f: impl FnMut(&Row) -> Result<()>) -> Result<()> {
-        self.counters.reset_pull();
-        fault::catch_pull(|| {
-            let mut cur = self.root.cursor(&self.counters);
-            while let Some(r) = cur.next() {
-                self.counters.cancel.check()?;
-                f(r.as_row())?;
-            }
-            Ok(())
-        })?
-    }
-
-    /// Pull every column batch through `f`. Batched pipelines hand out
-    /// their batches as-is (zero-copy views of shared columns); a plan
-    /// on the row fallback path is bridged by packing pulled rows into
-    /// owned batches of up to [`BATCH_SIZE`] rows, so batch consumers
-    /// (aggregation) run on every plan.
+    /// Pull every column batch through `f`, serially and without
+    /// materializing rows.
     pub fn for_each_batch(&self, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<()>) -> Result<()> {
-        self.counters.reset_pull();
-        if self.root.batchable() {
-            return fault::catch_pull(|| {
-                let mut cur = self.root.batch_cursor(&self.counters);
-                while let Some(b) = cur.next_batch() {
-                    self.counters.cancel.check()?;
-                    self.counters.batch(b.len());
-                    f(&b)?;
-                }
-                Ok(())
-            })?;
-        }
-        // Row bridge: the fallback path made visible by ExecStats (these
-        // batches copy values) and EXPLAIN's `[row]` annotations.
-        let arity = self.schema.arity();
-        fault::catch_pull(|| {
-            let mut cur = self.root.cursor(&self.counters);
-            loop {
-                self.counters.cancel.check()?;
-                let mut cols: Vec<Vec<crate::value::Value>> = vec![Vec::new(); arity];
-                let mut n = 0;
-                while n < BATCH_SIZE {
-                    match cur.next() {
-                        Some(r) => {
-                            for (c, v) in cols.iter_mut().zip(r.as_row().iter()) {
-                                c.push(v.clone());
-                            }
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if n == 0 {
-                    break;
-                }
-                let batch = ColumnBatch {
-                    cols: cols
-                        .into_iter()
-                        .map(|v| BatchCol::Owned(Arc::new(Column::from_values(v))))
-                        .collect(),
-                    len: n,
-                };
-                self.counters.batch(n);
-                f(&batch)?;
-                if n < BATCH_SIZE {
-                    break;
-                }
-            }
-            Ok(())
-        })?
+        self.pull_serial(|b| f(b).map(|()| true))
     }
 
     /// Pull up to `limit` rows (all when `None`) into an owned buffer.
     ///
-    /// Unlimited pulls over a batched pipeline run vectorized — and
-    /// morsel-parallel when the prepare decided so, with the gather
-    /// keeping the output byte-identical to serial — and materialize
-    /// rows once at the end. Limited pulls keep the row cursors so
-    /// pulling stops exactly at the limit — upstream work for rows past
-    /// it is never done (batching would overshoot by up to a batch).
+    /// Unlimited pulls run morsel-parallel when the prepare decided so,
+    /// with the gather keeping the output byte-identical to serial. A
+    /// limited pull runs serial, stops pulling once `limit` rows arrived
+    /// and truncates the last batch, so upstream work past the batch
+    /// holding the last wanted row is never done.
     pub fn collect_rows(&self, limit: Option<usize>) -> Result<Vec<Row>> {
         if limit.is_none() {
             if let Some(rows) = self.parallel_rows() {
                 return rows;
             }
         }
-        self.counters.reset_pull();
-        if limit.is_none() && self.root.batchable() {
-            return fault::catch_pull(|| {
-                let mut rows = Vec::new();
-                let mut cur = self.root.batch_cursor(&self.counters);
-                while let Some(b) = cur.next_batch() {
-                    self.counters.cancel.check()?;
-                    self.counters.batch(b.len());
-                    for pos in 0..b.len() {
-                        rows.push(b.row(pos));
-                    }
-                }
-                Ok(rows)
+        let cap = limit.unwrap_or(usize::MAX);
+        let mut rows = Vec::new();
+        if cap > 0 {
+            self.pull_serial(|b| {
+                let take = b.len().min(cap - rows.len());
+                rows.extend((0..take).map(|pos| b.row(pos)));
+                Ok(rows.len() < cap)
             })?;
         }
-        let cap = limit.unwrap_or(usize::MAX);
+        Ok(rows)
+    }
+
+    /// The serial pull driver: run the root's batched cursor, handing
+    /// each batch to `f` until the stream ends or `f` returns `false`.
+    /// Checks cancellation at every batch boundary.
+    fn pull_serial(&self, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<bool>) -> Result<()> {
+        self.counters.reset_pull();
         fault::catch_pull(|| {
-            let mut rows = Vec::new();
-            let mut cur = self.root.cursor(&self.counters);
-            while rows.len() < cap {
+            let mut cur = self.root.batch_cursor(&self.counters);
+            while let Some(b) = cur.next_batch() {
                 self.counters.cancel.check()?;
-                match cur.next() {
-                    Some(r) => rows.push(r.into_owned()),
-                    None => break,
+                self.counters.batch(b.len());
+                if !f(&b)? {
+                    break;
                 }
             }
-            Ok(rows)
+            Ok(())
         })?
     }
 
@@ -906,34 +794,40 @@ struct SegScan {
 }
 
 impl SourceNode {
-    /// Wrap a materialized relation, attaching a segment provider when
-    /// the engine runs segmented storage (plain mode bypasses the whole
-    /// seam; breaker outputs and empty relations stay plain too). Under
-    /// [`StorageMode::Disk`] the provider fetches from the relation's
-    /// on-disk segment store — the native one for disk-loaded tables, a
-    /// scratch spill otherwise — through the buffer pool shared across
-    /// all relations at this capacity.
+    /// Wrap a materialized relation, attaching the segment provider the
+    /// storage mode asks for (plain mode bypasses the whole seam;
+    /// breaker outputs and empty relations stay plain too). Segmented
+    /// storage decodes each segment once per query; paged and disk
+    /// storage lease decoded segments from the buffer pool shared
+    /// across all relations at this capacity, decoding the in-memory
+    /// segments or reading the relation's on-disk segment store (the
+    /// native one for disk-loaded tables, a scratch spill otherwise) on
+    /// a miss.
     fn of_scan(rel: Arc<Relation>, config: &EngineConfig) -> Result<SourceNode> {
-        let scan = if config.storage == StorageMode::Plain || rel.is_empty() {
-            None
-        } else if config.storage == StorageMode::Disk {
-            let image = rel.disk_image(config.segment_rows)?;
-            let pool = crate::store::pool_for(config.buffer_pool);
-            Some(SegScan {
-                provider: Arc::new(crate::store::DiskImageProvider::new(image, pool)),
-                zone_preds: Vec::new(),
-            })
-        } else {
-            Some(SegScan {
-                provider: provider_for(
-                    rel.segments(config.segment_rows),
-                    config.storage,
-                    config.segment_cache,
-                ),
-                zone_preds: Vec::new(),
-            })
+        if rel.is_empty() {
+            return Ok(SourceNode::plain(rel));
+        }
+        let pooled = |source| -> Arc<dyn ImageProvider> {
+            Arc::new(PooledImageProvider::new(
+                source,
+                pool_for(config.buffer_pool),
+            ))
         };
-        Ok(SourceNode { rel, scan })
+        let provider = match config.storage {
+            StorageMode::Plain => return Ok(SourceNode::plain(rel)),
+            StorageMode::Segmented => {
+                Arc::new(MemImageProvider::new(rel.segments(config.segment_rows)))
+            }
+            StorageMode::Paged => pooled(SegmentSource::Mem(rel.segments(config.segment_rows))),
+            StorageMode::Disk => pooled(SegmentSource::Disk(rel.disk_image(config.segment_rows)?)),
+        };
+        Ok(SourceNode {
+            rel,
+            scan: Some(SegScan {
+                provider,
+                zone_preds: Vec::new(),
+            }),
+        })
     }
 
     /// Wrap a computed relation (breaker output, inline values): always
@@ -1384,8 +1278,8 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
 }
 
 /// Run a breaker-side node to completion. An already-materialized source
-/// is reused as-is — no rows are copied and no buffer is counted.
-/// Batchable subtrees run vectorized into the buffer. Under a memory
+/// is reused as-is — no rows are copied and no buffer is counted; any
+/// other subtree runs vectorized into the buffer. Under a memory
 /// budget the copied rows are *charged* (so `ExecStats` tracks them and
 /// sibling breakers spill earlier), but non-join breaker inputs do not
 /// themselves spill — only hash-join builds, sort, aggregation and the
@@ -1395,19 +1289,10 @@ fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<R
         return Ok(src.rel);
     }
     let mut rows = Vec::new();
-    if node.batchable() {
-        let mut cur = node.batch_cursor(counters);
-        while let Some(b) = cur.next_batch() {
-            counters.batch(b.len());
-            for pos in 0..b.len() {
-                rows.push(b.row(pos));
-            }
-        }
-    } else {
-        let mut cur = node.cursor(counters);
-        while let Some(r) = cur.next() {
-            rows.push(r.into_owned());
-        }
+    let mut cur = node.batch_cursor(counters);
+    while let Some(b) = cur.next_batch() {
+        counters.batch(b.len());
+        rows.extend((0..b.len()).map(|pos| b.row(pos)));
     }
     if counters.spill.budget().enabled() {
         counters
@@ -1488,18 +1373,11 @@ fn prepare_join_build(
         }
         Ok(())
     };
-    if node.batchable() {
-        let mut cur = node.batch_cursor(counters);
-        while let Some(b) = cur.next_batch() {
-            counters.batch(b.len());
-            for pos in 0..b.len() {
-                push(b.row(pos), &mut rows, &mut writers)?;
-            }
-        }
-    } else {
-        let mut cur = node.cursor(counters);
-        while let Some(r) = cur.next() {
-            push(r.into_owned(), &mut rows, &mut writers)?;
+    let mut cur = node.batch_cursor(counters);
+    while let Some(b) = cur.next_batch() {
+        counters.batch(b.len());
+        for pos in 0..b.len() {
+            push(b.row(pos), &mut rows, &mut writers)?;
         }
     }
     counters.buffer(total_rows);
@@ -1587,19 +1465,6 @@ pub fn predicted_buffers(plan: &Plan, catalog: &Catalog) -> usize {
             }
         }
     }
-}
-
-/// Will the streaming pipeline rooted at `plan` run vectorized? Mirrors
-/// [`Node::batchable`] on the physical tree the executor will build, so
-/// `EXPLAIN` can annotate each node `[batched]` vs `[row]`.
-///
-/// Since the pair-batch evaluator covers nested-loop theta joins and
-/// residual semijoins, every operator has a batched implementation —
-/// only plans that fail to prepare (schema errors) report `false`. The
-/// row cursors still exist, but only limited pulls and `for_each_row`
-/// choose them.
-pub fn batched_pipeline(plan: &Plan, catalog: &Catalog) -> bool {
-    plan.schema(catalog).is_ok()
 }
 
 /// The worker count the morsel-driven executor will fan `plan` out over
@@ -1716,289 +1581,11 @@ fn plan_parallel_dedup(plan: &Plan, catalog: &Catalog, transformed: bool) -> Opt
 }
 
 // ---------------------------------------------------------------------------
-// Cursors
-// ---------------------------------------------------------------------------
-
-enum Cursor<'a> {
-    Source(std::slice::Iter<'a, Row>),
-    Filter {
-        input: Box<Cursor<'a>>,
-        preds: &'a [CompiledExpr],
-    },
-    Project {
-        input: Box<Cursor<'a>>,
-        exprs: &'a [CompiledExpr],
-    },
-    HashJoin {
-        node: &'a HashJoinNode,
-        rel: &'a Arc<Relation>,
-        table: &'a RowTable,
-        probe: Box<Cursor<'a>>,
-        /// Current probe row with its pending build matches.
-        pending: Option<(StreamRow<'a>, &'a [usize], usize)>,
-    },
-    /// Row-at-a-time view over an operator that only exists batched (a
-    /// spilled hash join): pulls batches and hands their rows out one
-    /// by one.
-    Bridge {
-        bcur: Box<BCursor<'a>>,
-        batch: Option<ColumnBatch<'a>>,
-        pos: usize,
-    },
-    NestedLoop {
-        node: &'a NestedLoopNode,
-        outer: Box<Cursor<'a>>,
-        current: Option<(StreamRow<'a>, usize)>,
-    },
-    Semi {
-        node: &'a SemiNode,
-        probe: Box<Cursor<'a>>,
-    },
-    Concat {
-        left: Box<Cursor<'a>>,
-        right: Box<Cursor<'a>>,
-        on_right: bool,
-    },
-    Distinct {
-        input: Box<Cursor<'a>>,
-        seen: FxHashSet<Row>,
-        counters: &'a Counters,
-    },
-    Difference {
-        node: &'a DifferenceNode,
-        input: Box<Cursor<'a>>,
-        seen: FxHashSet<Row>,
-        counters: &'a Counters,
-    },
-}
-
-impl Node {
-    fn cursor<'a>(&'a self, counters: &'a Counters) -> Cursor<'a> {
-        match self {
-            Node::Source(src) => Cursor::Source(src.rel.rows().iter()),
-            Node::Filter { input, preds } => Cursor::Filter {
-                input: Box::new(input.cursor(counters)),
-                preds,
-            },
-            Node::Project { input, exprs } => Cursor::Project {
-                input: Box::new(input.cursor(counters)),
-                exprs,
-            },
-            Node::HashJoin(node) => match &node.build {
-                JoinBuild::Mem { rel, table } => Cursor::HashJoin {
-                    node,
-                    rel,
-                    table,
-                    probe: Box::new(node.probe.cursor(counters)),
-                    pending: None,
-                },
-                // A spilled build only has the hybrid-hash batched
-                // implementation; bridge it row-at-a-time.
-                JoinBuild::Spilled(_) => Cursor::Bridge {
-                    bcur: Box::new(self.batch_cursor(counters)),
-                    batch: None,
-                    pos: 0,
-                },
-            },
-            Node::NestedLoop(node) => Cursor::NestedLoop {
-                node,
-                outer: Box::new(node.outer.cursor(counters)),
-                current: None,
-            },
-            Node::Semi(node) => Cursor::Semi {
-                node,
-                probe: Box::new(node.probe.cursor(counters)),
-            },
-            Node::Concat { left, right } => Cursor::Concat {
-                left: Box::new(left.cursor(counters)),
-                right: Box::new(right.cursor(counters)),
-                on_right: false,
-            },
-            Node::Distinct { input } => Cursor::Distinct {
-                input: Box::new(input.cursor(counters)),
-                seen: FxHashSet::default(),
-                counters,
-            },
-            Node::Difference(node) => Cursor::Difference {
-                node,
-                input: Box::new(node.input.cursor(counters)),
-                seen: FxHashSet::default(),
-                counters,
-            },
-        }
-    }
-}
-
-impl<'a> Cursor<'a> {
-    fn next(&mut self) -> Option<StreamRow<'a>> {
-        match self {
-            Cursor::Source(iter) => iter.next().map(StreamRow::Borrowed),
-            Cursor::Filter { input, preds } => loop {
-                let r = input.next()?;
-                if preds.iter().all(|p| p.eval_bool(r.as_row())) {
-                    return Some(r);
-                }
-            },
-            Cursor::Project { input, exprs } => {
-                let r = input.next()?;
-                let row = r.as_row();
-                Some(StreamRow::Owned(
-                    exprs
-                        .iter()
-                        .map(|e| e.eval(row))
-                        .collect::<Vec<_>>()
-                        .into_boxed_slice(),
-                ))
-            }
-            Cursor::HashJoin {
-                node,
-                rel,
-                table,
-                probe,
-                pending,
-            } => loop {
-                if let Some((probe_row, matches, pos)) = pending.as_mut() {
-                    let prow = probe_row.as_row();
-                    while *pos < matches.len() {
-                        let brow = &rel.rows()[matches[*pos]];
-                        *pos += 1;
-                        if !keys_eq(brow, &node.build_keys, prow, &node.probe_keys) {
-                            continue;
-                        }
-                        let (lr, rr) = if node.probe_is_left {
-                            (prow, brow)
-                        } else {
-                            (brow, prow)
-                        };
-                        if node
-                            .residual
-                            .as_ref()
-                            .is_none_or(|c| c.eval_bool_pair(lr, rr))
-                        {
-                            return Some(StreamRow::Owned(concat_rows(lr, rr)));
-                        }
-                    }
-                    *pending = None;
-                }
-                let prow = probe.next()?;
-                if let Some(matches) = table.get(key_hash(prow.as_row(), &node.probe_keys)) {
-                    *pending = Some((prow, matches, 0));
-                }
-            },
-            Cursor::Bridge { bcur, batch, pos } => loop {
-                if let Some(b) = batch {
-                    if *pos < b.len() {
-                        let row = b.row(*pos);
-                        *pos += 1;
-                        return Some(StreamRow::Owned(row));
-                    }
-                }
-                *batch = Some(bcur.next_batch()?);
-                *pos = 0;
-            },
-            Cursor::NestedLoop {
-                node,
-                outer,
-                current,
-            } => loop {
-                if let Some((orow, idx)) = current.as_mut() {
-                    let lrow = orow.as_row();
-                    while *idx < node.inner.len() {
-                        let irow = &node.inner.rows()[*idx];
-                        *idx += 1;
-                        if node
-                            .pred
-                            .as_ref()
-                            .is_none_or(|c| c.eval_bool_pair(lrow, irow))
-                        {
-                            return Some(StreamRow::Owned(concat_rows(lrow, irow)));
-                        }
-                    }
-                    *current = None;
-                }
-                let o = outer.next()?;
-                *current = Some((o, 0));
-            },
-            Cursor::Semi { node, probe } => loop {
-                let l = probe.next()?;
-                let lrow = l.as_row();
-                let matched = match &node.table {
-                    Some((table, lk, rk)) => table.get(key_hash(lrow, lk)).is_some_and(|matches| {
-                        matches.iter().any(|&ri| {
-                            let rrow = &node.right.rows()[ri];
-                            keys_eq(lrow, lk, rrow, rk)
-                                && node
-                                    .residual
-                                    .as_ref()
-                                    .is_none_or(|c| c.eval_bool_pair(lrow, rrow))
-                        })
-                    }),
-                    None => node.right.rows().iter().any(|rrow| {
-                        node.residual
-                            .as_ref()
-                            .is_none_or(|c| c.eval_bool_pair(lrow, rrow))
-                    }),
-                };
-                if matched == node.keep_matched {
-                    return Some(l);
-                }
-            },
-            Cursor::Concat {
-                left,
-                right,
-                on_right,
-            } => {
-                if !*on_right {
-                    if let Some(r) = left.next() {
-                        return Some(r);
-                    }
-                    *on_right = true;
-                }
-                right.next()
-            }
-            Cursor::Distinct {
-                input,
-                seen,
-                counters,
-            } => loop {
-                let r = input.next()?;
-                if !seen.contains(r.as_row()) {
-                    seen.insert(r.as_row().clone());
-                    counters.rows(1);
-                    return Some(r);
-                }
-            },
-            Cursor::Difference {
-                node,
-                input,
-                seen,
-                counters,
-            } => loop {
-                let r = input.next()?;
-                let row = r.as_row();
-                let in_right = node
-                    .table
-                    .get(row_hash(row))
-                    .is_some_and(|is| is.iter().any(|&i| node.right.rows()[i] == *row));
-                if in_right || seen.contains(row) {
-                    continue;
-                }
-                seen.insert(row.clone());
-                counters.rows(1);
-                return Some(r);
-            },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Batched cursors: the vectorized pipeline
 // ---------------------------------------------------------------------------
 
 /// The batched physical pipeline: each variant pulls [`ColumnBatch`]es
-/// from its input and transforms them column-wise. Constructed only for
-/// [`Node::batchable`] trees; everything else runs the row [`Cursor`]s
-/// (the fallback bridge that keeps every plan runnable).
+/// from its input and transforms them column-wise.
 enum BCursor<'a> {
     /// Chunked scan over `[pos, end)` of a relation's cached columnar
     /// image — the whole image for serial pulls, one morsel for a
@@ -2278,25 +1865,6 @@ impl DedupSpill {
 }
 
 impl Node {
-    /// Does this streaming pipeline have a fully batched implementation?
-    /// (Breaker *inputs* were already materialized at prepare time and
-    /// made their own choice.) Since the pair-batch evaluator covers
-    /// nested loops and residual semijoins, every operator answers yes —
-    /// kept as a method so future operators can opt out again.
-    fn batchable(&self) -> bool {
-        match self {
-            Node::Source(_) => true,
-            Node::Filter { input, .. } | Node::Project { input, .. } | Node::Distinct { input } => {
-                input.batchable()
-            }
-            Node::HashJoin(n) => n.probe.batchable(),
-            Node::Semi(n) => n.probe.batchable(),
-            Node::NestedLoop(n) => n.outer.batchable(),
-            Node::Concat { left, right } => left.batchable() && right.batchable(),
-            Node::Difference(n) => n.input.batchable(),
-        }
-    }
-
     /// Does any hash join in this tree hold a spilled build side? Such
     /// trees run serial: every morsel cursor would re-drain and
     /// re-probe the on-disk partitions (see `stream`).
@@ -2316,8 +1884,7 @@ impl Node {
         }
     }
 
-    /// Build the batched cursor tree (caller must have checked
-    /// [`Node::batchable`]).
+    /// Build the batched cursor tree.
     fn batch_cursor<'a>(&'a self, counters: &'a Counters) -> BCursor<'a> {
         match self {
             Node::Source(src) => src.batch_cursor(0, src.rel.len(), counters),
@@ -2593,8 +2160,8 @@ impl<'a> BCursor<'a> {
                     let inner = node.inner.columns();
                     if !inner.is_empty() && *opos < ob.len() {
                         // Enumerate up to BATCH_SIZE cross pairs in
-                        // (outer position, inner row) order — the same
-                        // order the row cursors emit.
+                        // (outer position, inner row) order — the
+                        // outer-major order the reference engine emits.
                         let mut lpos: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
                         let mut rsel: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
                         while lpos.len() < BATCH_SIZE && *opos < ob.len() {
@@ -3065,8 +2632,7 @@ fn join_spilled_partition(
 /// (left, right) candidate pair, in plan column order. This is the
 /// pair-batch evaluator's input: cross-side residual predicates then run
 /// the ordinary vectorized mask kernels over it, which is what lets
-/// nested-loop theta joins and residual semijoins stay on the batched
-/// engine instead of falling back to row cursors.
+/// nested-loop theta joins and residual semijoins run vectorized.
 fn pair_batch<'a>(
     left: &ColumnBatch<'a>,
     lpos: &[u32],
@@ -3133,8 +2699,8 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
                     // Key-qualified candidate pairs, residual-checked by
                     // the pair-batch evaluator. Pairs whose probe
                     // position already matched are skipped between
-                    // chunks — the row path's per-row early exit, at
-                    // chunk granularity (matters under key skew).
+                    // chunks — a per-probe-row early exit at chunk
+                    // granularity (matters under key skew).
                     let mut cands: Vec<(u32, u32)> = Vec::new();
                     for (pos, h) in hashes.iter().enumerate() {
                         if let Some(matches) = table.get(*h) {
@@ -3173,7 +2739,7 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
             Some(res) => {
                 // All (probe, right) pairs are candidates; chunks are
                 // re-enumerated between evaluations so positions already
-                // matched skip their remaining pairs (the row path's
+                // matched skip their remaining pairs (a per-probe-row
                 // early exit, batched).
                 let (mut pos, mut ri) = (0usize, 0usize);
                 let mut lpos: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
@@ -3902,22 +3468,26 @@ mod tests {
     fn collect_rows_stops_early() {
         let c = catalog();
         let s = stream(&Plan::scan("emp").select(col("eid").gt(lit_i64(0))), &c).unwrap();
-        assert_eq!(s.collect_rows(Some(2)).unwrap().len(), 2);
-        assert_eq!(s.collect_rows(None).unwrap().len(), 3);
+        let all = s.collect_rows(None).unwrap();
+        assert_eq!(all.len(), 3);
+        assert_eq!(s.collect_rows(Some(2)).unwrap(), all[..2]);
+        assert!(s.collect_rows(Some(0)).unwrap().is_empty());
+        assert_eq!(s.collect_rows(Some(10)).unwrap(), all);
     }
 
     #[test]
-    fn for_each_row_streams_borrowed_rows() {
+    fn for_each_batch_streams_shared_batches() {
         let c = catalog();
         let s = stream(&Plan::scan("emp"), &c).unwrap();
         let mut n = 0;
-        s.for_each_row(|r| {
-            assert_eq!(r.len(), 3);
-            n += 1;
+        s.for_each_batch(|b| {
+            assert_eq!(b.cols.len(), 3);
+            n += b.len();
             Ok(())
         })
         .unwrap();
         assert_eq!(n, 3);
+        assert_eq!(s.stats().batches, 1);
     }
 
     #[test]
@@ -3960,16 +3530,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_pipeline_matches_row_path_and_counts_batches() {
+    fn batched_pull_counts_batches_and_limited_pull_is_a_prefix() {
         let c = big_catalog();
         let p = Plan::scan("fact")
             .select(col("tag").eq(lit_str("even")))
             .join(Plan::scan("dim"), col("g").eq(col("d")))
             .select(col("k").lt(lit_i64(1500)))
             .project_names(["k", "name"]);
-        assert!(batched_pipeline(&p, &c));
         let s = stream(&p, &c).unwrap();
-        assert!(s.batched());
         // Batched collect: the σ/π/probe chain buffers no intermediate
         // rows but reports its batches and fill.
         let batched = s.collect_rows(None).unwrap();
@@ -3979,16 +3547,11 @@ mod tests {
         assert!(stats.batches > 1, "scan spans batches: {stats:?}");
         assert_eq!(stats.batch_rows, 750);
         assert!(stats.mean_batch_fill().unwrap() > 0.0);
-        // The row cursor path yields identical rows in identical order
-        // (and, being a fresh pull, resets the batch counters).
-        let mut via_rows = Vec::new();
-        s.for_each_row(|r| {
-            via_rows.push(r.clone());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(batched, via_rows);
-        assert_eq!(s.stats().batches, 0);
+        // A limited pull yields the same leading rows in the same order
+        // and, being a fresh pull, resets the batch counters.
+        let limited = s.collect_rows(Some(500)).unwrap();
+        assert_eq!(limited, batched[..500]);
+        assert!(s.stats().batches < stats.batches, "{:?}", s.stats());
         assert_engines_agree(&p, &c);
     }
 
@@ -4001,7 +3564,6 @@ mod tests {
                 .project_names(["d"])
                 .select(col("d").gt(lit_i64(4))),
         );
-        assert!(batched_pipeline(&p, &c));
         assert_engines_agree(&p, &c);
         let (out, stats) = execute_with_stats(&p, &c).unwrap();
         assert_eq!(out.len(), 5); // g ∈ 0..7 minus {5, 6}
@@ -4019,16 +3581,14 @@ mod tests {
             Plan::scan("dim").select(col("d").lt(lit_i64(3))),
             col("g").eq(col("d")),
         );
-        assert!(batched_pipeline(&semi, &c));
         assert_engines_agree(&semi, &c);
         assert_engines_agree(&anti, &c);
-        // A residual semijoin runs the pair-batch evaluator — still
-        // batched, still agreeing with the reference engine.
+        // A residual semijoin runs the pair-batch evaluator, agreeing
+        // with the reference engine.
         let residual = Plan::scan("fact").semijoin(
             Plan::scan("dim"),
             Expr::and([col("g").eq(col("d")), col("k").gt(col("d"))]),
         );
-        assert!(batched_pipeline(&residual, &c));
         assert_engines_agree(&residual, &c);
         // Non-equi semijoins and antijoins (pure pair-batch paths) too.
         let theta_semi = Plan::scan("fact").semijoin(Plan::scan("dim"), col("g").lt(col("d")));
@@ -4050,22 +3610,17 @@ mod tests {
         let theta = Plan::scan("emp")
             .join(Plan::scan("dept"), col("dept").lt(col("did")))
             .select(col("eid").gt(lit_i64(0)));
-        // Theta joins now vectorize through the pair-batch evaluator.
-        assert!(batched_pipeline(&theta, &c));
+        // Theta joins vectorize through the pair-batch evaluator and
+        // emit pairs in outer-major order, like the reference engine.
         let s = stream(&theta, &c).unwrap();
-        assert!(s.batched());
         let rows = s.collect_rows(None).unwrap();
         assert!(s.stats().batches > 0);
         assert!(!rows.is_empty());
-        // The row cursors still exist (limited pulls) and agree exactly.
-        let mut via_rows = Vec::new();
-        s.for_each_row(|r| {
-            via_rows.push(r.clone());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(via_rows, rows, "pair-batch order must match row order");
-        assert_engines_agree(&theta, &c);
+        assert_eq!(
+            rows,
+            execute_reference(&theta, &c).unwrap().rows(),
+            "pair-batch order must match outer-major order"
+        );
         // Cross products (empty predicate) take the same path.
         let cross = Plan::scan("emp").join(Plan::scan("dept"), Expr::and([]));
         let s = stream(&cross, &c).unwrap();
@@ -4077,21 +3632,14 @@ mod tests {
     fn pair_batches_cross_batch_boundaries() {
         // An outer wider than one batch against a non-trivial inner: the
         // pair enumeration must chunk across batch boundaries and still
-        // match the row cursors pair-for-pair.
+        // match the reference engine pair-for-pair.
         let c = big_catalog();
         let theta = Plan::scan("fact")
             .select(col("k").lt(lit_i64(2000)))
             .join(Plan::scan("dim"), col("g").lt(col("d")));
         let s = stream(&theta, &c).unwrap();
         let batched = s.collect_rows(None).unwrap();
-        let mut via_rows = Vec::new();
-        s.for_each_row(|r| {
-            via_rows.push(r.clone());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(batched, via_rows);
-        assert_engines_agree(&theta, &c);
+        assert_eq!(batched, execute_reference(&theta, &c).unwrap().rows());
     }
 
     #[test]
@@ -4105,17 +3653,20 @@ mod tests {
                 Expr::or([col("k").lt(col("d")), col("tag").eq(lit_str("even"))]),
             ]),
         );
-        assert!(batched_pipeline(&p, &c));
         assert_engines_agree(&p, &c);
     }
 
     #[test]
-    fn limited_pull_stays_on_the_row_path() {
+    fn limited_pull_stops_after_the_batch_holding_the_limit() {
         let c = big_catalog();
         let s = stream(&Plan::scan("fact").select(col("k").ge(lit_i64(0))), &c).unwrap();
         let two = s.collect_rows(Some(2)).unwrap();
         assert_eq!(two.len(), 2);
-        assert_eq!(s.stats().batches, 0, "a limited pull must not batch");
+        // One batch holds both rows, whatever the storage mode's batch
+        // boundaries are.
+        let stats = s.stats();
+        assert_eq!(stats.batches, 1, "a limited pull stops at its limit");
+        assert!(stats.batch_rows >= 2 && stats.batch_rows <= BATCH_SIZE);
     }
 
     /// The big catalog reconfigured for parallel execution: N workers,

@@ -3,11 +3,9 @@
 //! Prints the operator tree with the physical strategy the executor will
 //! pick (hash vs nested-loop join, key columns, residual filters), the
 //! optimizer's row estimates, and — for the streaming engine — whether
-//! each node pipelines rows or buffers them, and whether its pipeline
-//! runs `[batched]` (vectorized over column batches) or `[row]` (the
-//! fallback cursor bridge — visible here instead of silent). The final
-//! line reports the number of intermediate row buffers the streaming
-//! executor will allocate ([`crate::exec::predicted_buffers`]), which
+//! each node pipelines rows or buffers them. The final line reports the
+//! number of intermediate row buffers the streaming executor will
+//! allocate ([`crate::exec::predicted_buffers`]), which
 //! matches the runtime [`crate::exec::ExecStats::buffers`]: a fully
 //! pipelined plan reads `0 intermediate row buffer(s)`.
 //! [`explain_executed`] additionally runs the plan and appends the
@@ -16,9 +14,7 @@
 use crate::batch::BATCH_SIZE;
 use crate::catalog::{Catalog, StorageMode};
 use crate::error::Result;
-use crate::exec::{
-    batched_pipeline, join_build_left, predicted_buffers, predicted_workers, JoinCondition,
-};
+use crate::exec::{join_build_left, predicted_buffers, predicted_workers, JoinCondition};
 use crate::expr::Expr;
 use crate::optimizer::est_rows;
 use crate::plan::Plan;
@@ -83,7 +79,7 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
             );
         }
         None => {
-            let _ = writeln!(out, "-- no batches emitted (empty result or row path)");
+            let _ = writeln!(out, "-- no batches emitted (empty result)");
         }
     }
     if stats.workers > 1 {
@@ -116,7 +112,7 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
     if stats.pages_read + stats.pool_hits + stats.pool_misses > 0 {
         let _ = writeln!(
             out,
-            "-- disk: {} page(s) read, buffer pool {} hit(s) / {} miss(es)",
+            "-- storage: {} page(s) read, buffer pool {} hit(s) / {} miss(es)",
             stats.pages_read, stats.pool_hits, stats.pool_misses
         );
     }
@@ -128,18 +124,6 @@ pub fn explain_executed(plan: &Plan, catalog: &Catalog) -> Result<String> {
         );
     }
     Ok(out)
-}
-
-/// The per-node engine tag: will the pipeline rooted here run
-/// vectorized, or on the row-cursor fallback? Re-derived per rendered
-/// node (quadratic in plan size) — EXPLAIN is a cold, human-facing
-/// path; if that ever changes, compute the tags in one top-down pass.
-fn engine_tag(plan: &Plan, catalog: &Catalog) -> &'static str {
-    if batched_pipeline(plan, catalog) {
-        "[batched]"
-    } else {
-        "[row]"
-    }
 }
 
 /// Estimated average output-row bytes of a plan: leaf widths come from
@@ -283,24 +267,23 @@ fn render_zone(
 ) {
     indent(depth, out);
     let rows = est_rows(plan, catalog);
-    let tag = engine_tag(plan, catalog);
     match plan {
         Plan::Scan(name) => {
             let seg = seg_tag(name, catalog, zone_pred);
-            let _ = writeln!(out, "Seq Scan on {name}  (rows={rows:.0}) {tag}{seg}");
+            let _ = writeln!(out, "Seq Scan on {name}  (rows={rows:.0}){seg}");
         }
         Plan::Values(rel) => {
-            let _ = writeln!(out, "Values  (rows={}) {tag}", rel.len());
+            let _ = writeln!(out, "Values  (rows={})", rel.len());
         }
         Plan::Select { input, pred } => {
-            let _ = writeln!(out, "Filter: {pred}  (rows≈{rows:.0}) [pipelined] {tag}");
+            let _ = writeln!(out, "Filter: {pred}  (rows≈{rows:.0}) [pipelined]");
             render_zone(input, catalog, depth + 1, out, Some(pred));
         }
         Plan::Project { input, cols } => {
             let names: Vec<String> = cols.iter().map(|(_, n)| n.to_string()).collect();
             let _ = writeln!(
                 out,
-                "Project [{}]  (rows≈{rows:.0}) [pipelined] {tag}",
+                "Project [{}]  (rows≈{rows:.0}) [pipelined]",
                 names.join(", ")
             );
             render(input, catalog, depth + 1, out);
@@ -314,7 +297,7 @@ fn render_zone(
             if cond.equi.is_empty() {
                 let _ = writeln!(
                     out,
-                    "Nested Loop Join  (rows≈{rows:.0}) [streams left, inner {}] {tag}",
+                    "Nested Loop Join  (rows≈{rows:.0}) [streams left, inner {}]",
                     side_label(right)
                 );
                 if !pred.is_true() {
@@ -335,7 +318,7 @@ fn render_zone(
                 let build_side = if build == "left" { left } else { right };
                 let _ = writeln!(
                     out,
-                    "Hash Join  (rows≈{rows:.0}) [streams {probe} probe, build {build} {}] {tag}{}",
+                    "Hash Join  (rows≈{rows:.0}) [streams {probe} probe, build {build} {}]{}",
                     side_label(build_side),
                     spill_tag(build_side, catalog)
                 );
@@ -352,7 +335,7 @@ fn render_zone(
         Plan::SemiJoin { left, right, pred } => {
             let _ = writeln!(
                 out,
-                "Hash Semi Join on {pred}  (rows≈{rows:.0}) [streams left, right {}] {tag}",
+                "Hash Semi Join on {pred}  (rows≈{rows:.0}) [streams left, right {}]",
                 side_label(right)
             );
             render(left, catalog, depth + 1, out);
@@ -361,21 +344,21 @@ fn render_zone(
         Plan::AntiJoin { left, right, pred } => {
             let _ = writeln!(
                 out,
-                "Hash Anti Join on {pred}  (rows≈{rows:.0}) [streams left, right {}] {tag}",
+                "Hash Anti Join on {pred}  (rows≈{rows:.0}) [streams left, right {}]",
                 side_label(right)
             );
             render(left, catalog, depth + 1, out);
             render(right, catalog, depth + 1, out);
         }
         Plan::Union { left, right } => {
-            let _ = writeln!(out, "Append  (rows≈{rows:.0}) [pipelined] {tag}");
+            let _ = writeln!(out, "Append  (rows≈{rows:.0}) [pipelined]");
             render(left, catalog, depth + 1, out);
             render(right, catalog, depth + 1, out);
         }
         Plan::Difference { left, right } => {
             let _ = writeln!(
                 out,
-                "Except  (rows≈{rows:.0}) [buffers seen-set, right {}] {tag}{}",
+                "Except  (rows≈{rows:.0}) [buffers seen-set, right {}]{}",
                 side_label(right),
                 spill_tag(plan, catalog)
             );
@@ -385,16 +368,13 @@ fn render_zone(
         Plan::Distinct(input) => {
             let _ = writeln!(
                 out,
-                "HashAggregate (distinct)  (rows≈{rows:.0}) [buffers seen-set] {tag}{}",
+                "HashAggregate (distinct)  (rows≈{rows:.0}) [buffers seen-set]{}",
                 spill_tag(plan, catalog)
             );
             render(input, catalog, depth + 1, out);
         }
         Plan::Rename { input, alias } => {
-            let _ = writeln!(
-                out,
-                "Subquery Alias {alias}  (rows≈{rows:.0}) [pipelined] {tag}"
-            );
+            let _ = writeln!(out, "Subquery Alias {alias}  (rows≈{rows:.0}) [pipelined]");
             render(input, catalog, depth + 1, out);
         }
     }
@@ -468,24 +448,30 @@ mod tests {
     }
 
     #[test]
-    fn explain_tags_batched_vs_row_pipelines() {
-        let c = catalog();
-        // A hash-join chain runs batched on every node.
+    fn explain_lines_carry_no_engine_tag() {
+        // Plain storage, so scan lines carry no `[seg …]` suffix either.
+        let mut c = catalog();
+        c.set_storage(StorageMode::Plain);
+        // Every operator runs on the one batched engine, so no line
+        // names an engine — hash-join chains and theta joins alike.
         let p = Plan::scan("r")
             .select(col("a").gt(lit_i64(0)))
             .join(Plan::scan("s"), col("a").eq(col("c")));
         let text = explain(&p, &c);
-        assert!(text.contains("[batched]"), "{text}");
-        assert!(!text.contains("[row]"), "{text}");
-        // Theta joins run the pair-batch evaluator: no [row] tags left,
-        // on the nested loop or above it.
+        assert!(
+            text.contains("Filter: (a > 0)  (rows≈1) [pipelined]\n"),
+            "{text}"
+        );
         let theta = Plan::scan("r")
             .join(Plan::scan("s"), col("a").lt(col("c")))
             .select(col("b").gt(lit_i64(0)));
         let text = explain(&theta, &c);
         assert!(text.contains("Nested Loop Join"), "{text}");
-        assert!(!text.contains("[row]"), "{text}");
-        assert!(text.contains("Seq Scan on r  (rows=1) [batched]"), "{text}");
+        assert!(text.contains("Seq Scan on r  (rows=1)\n"), "{text}");
+        assert!(
+            !text.contains("batched") && !text.contains("[row]"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -560,7 +546,7 @@ mod tests {
     fn explain_tags_segmented_scans_with_zone_pruning() {
         let mut c = Catalog::new().with_config(crate::catalog::EngineConfig::serial());
         c.set_storage(StorageMode::Segmented);
-        c.set_segment_layout(4, 2);
+        c.set_segment_rows(4);
         c.insert(
             "t",
             Relation::from_rows(
@@ -572,7 +558,7 @@ mod tests {
         // Bare scan: total segment count only.
         let text = explain(&Plan::scan("t"), &c);
         assert!(
-            text.contains("Seq Scan on t  (rows=16) [batched] [seg 4]"),
+            text.contains("Seq Scan on t  (rows=16) [seg 4]\n"),
             "{text}"
         );
         // A selective sargable filter prunes: rows 0..4 live in segment

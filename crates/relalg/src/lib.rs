@@ -36,7 +36,7 @@
 //!   strings and frame-of-reference bit-packed integers with
 //!   per-segment zone maps — served through an [`ImageProvider`]
 //!   ([`provider`]) that either keeps decoded segments resident or
-//!   pages them through a small clock-eviction cache
+//!   leases them from the shared [`store::BufferPool`]
 //!   (`RELALG_STORAGE` / [`Catalog::set_storage`]); scans skip whole
 //!   segments whose zone maps refute a sargable predicate. The
 //!   retained operator-at-a-time engine
@@ -92,5 +92,5 @@ pub use relation::{Column, ColumnarImage, NullMask, Relation, Row};
 pub use schema::{ColRef, Schema};
 pub use segment::{SegmentedBuilder, SegmentedImage, ZoneMap};
 pub use spill::{MemBudget, SpillCtx};
-pub use store::{BufferPool, DiskImage, DiskImageProvider, DiskTableWriter};
+pub use store::{BufferPool, DiskImage, DiskTableWriter};
 pub use value::Value;

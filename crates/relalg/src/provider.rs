@@ -8,32 +8,22 @@
 //!
 //! * [`MemImageProvider`] decodes each segment at most once and keeps it
 //!   resident — the segmented analog of the plain in-memory image;
-//! * [`PagedImageProvider`] keeps at most `cap` decoded segments behind
-//!   a clock (second-chance) eviction cache, so the decoded *working
-//!   set*, not the table, is what occupies memory; cold segments are
-//!   re-decoded on return;
-//! * [`crate::store::DiskImageProvider`] reads encoded segments from a
-//!   page file through a [`crate::store::BufferPool`] shared across
-//!   relations.
+//! * the pooled provider (`store::PooledImageProvider`) leases decoded
+//!   segments from a [`crate::store::BufferPool`] shared across
+//!   relations, so the decoded *working set*, not the table, is what
+//!   occupies memory. On a miss it decodes in-memory encoded segments
+//!   (paged storage) or reads them from a page file (disk storage).
 //!
 //! Providers are created per scan node at prepare time and shared by
 //! all workers of that scan, so decode work is deduplicated across
-//! morsels while queries never observe each other's cache state.
-//!
-//! **Locking discipline:** no provider ever decodes (or reads disk)
-//! while holding its cache lock. A miss registers the segment as
-//! *in-flight*, releases the lock, pays the decode, then re-locks to
-//! install the result; concurrent workers asking for the same segment
-//! wait on a condvar instead of duplicating the decode, and workers
-//! asking for *different* segments proceed entirely in parallel.
+//! morsels.
 
-use crate::catalog::StorageMode;
 use crate::error::Result;
-use crate::fault::{self, FaultInjector, FaultKind};
+use crate::fault::{self, FaultInjector};
 use crate::segment::{DecodedSegment, SegmentedImage, ZoneMap};
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Storage-side counters shared by every cursor of one execution:
 /// bytes materialized by fresh decodes, pages read from segment files,
@@ -95,10 +85,11 @@ pub trait ImageProvider: Send + Sync + Debug {
     /// A decoded view of segment `seg`. Every *fresh* decode adds the
     /// segment's materialized size to `io.decoded_bytes` (cache hits add
     /// nothing), which is how [`crate::exec::ExecStats`] observes decode
-    /// traffic and cache effectiveness; disk-backed providers also
-    /// account pages read and pool hits/misses. Fallible: disk reads
-    /// can fail for real, and the paged/disk lease and read edges draw
-    /// from `io`'s fault injector when one is configured.
+    /// traffic and cache effectiveness; pool-backed providers also
+    /// account pool hits/misses, and disk-backed ones pages read.
+    /// Fallible: disk reads can fail for real, and the pool lease and
+    /// disk read edges draw from `io`'s fault injector when one is
+    /// configured.
     fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>>;
 }
 
@@ -157,218 +148,14 @@ impl ImageProvider for MemImageProvider {
     }
 }
 
-/// One clock-cache slot: a decoded segment plus its reference bit.
-struct ClockSlot {
-    seg: usize,
-    dec: Arc<DecodedSegment>,
-    referenced: bool,
-}
-
-/// Clock-cache state: the resident slots, the sweep hand, and the
-/// segments currently being decoded outside the lock.
-struct PagedState {
-    slots: Vec<ClockSlot>,
-    hand: usize,
-    /// Segments some worker is decoding right now (lock released). A
-    /// worker wanting one of these waits on the condvar instead of
-    /// duplicating the decode. Tiny (≤ worker count), so a Vec beats a
-    /// set.
-    in_flight: Vec<usize>,
-}
-
-/// Bounded provider: at most `cap` decoded segments stay resident,
-/// evicted by the clock (second-chance) policy — the hand sweeps slots,
-/// clearing reference bits, and evicts the first slot found cold. Scans
-/// touching a segment set its bit, so segments shared by concurrent
-/// morsels survive the sweep.
-///
-/// Decoding happens *outside* the cache lock: a miss marks the segment
-/// in-flight, releases the lock, decodes, then re-locks to install.
-/// Exactly one worker pays each decode (peers wanting the same segment
-/// wait on the latch), and workers on other segments are never
-/// serialized behind it — which matters even more once the "decode" is
-/// a disk read.
-pub struct PagedImageProvider {
-    image: Arc<SegmentedImage>,
-    cap: usize,
-    state: Mutex<PagedState>,
-    cv: Condvar,
-    /// Test-only decode gate, called with the segment id after the lock
-    /// is released and before the decode happens. Lets concurrency tests
-    /// hold one decode open while proving others proceed.
-    #[cfg(test)]
-    gate: Option<Arc<dyn Fn(usize) + Send + Sync>>,
-}
-
-impl PagedImageProvider {
-    /// Provider over `image` keeping at most `cap` (floored at 1)
-    /// decoded segments resident.
-    pub fn new(image: Arc<SegmentedImage>, cap: usize) -> Self {
-        PagedImageProvider {
-            image,
-            cap: cap.max(1),
-            state: Mutex::new(PagedState {
-                slots: Vec::new(),
-                hand: 0,
-                in_flight: Vec::new(),
-            }),
-            cv: Condvar::new(),
-            #[cfg(test)]
-            gate: None,
-        }
-    }
-
-    #[cfg(test)]
-    fn with_gate(
-        image: Arc<SegmentedImage>,
-        cap: usize,
-        gate: Arc<dyn Fn(usize) + Send + Sync>,
-    ) -> Self {
-        PagedImageProvider {
-            gate: Some(gate),
-            ..PagedImageProvider::new(image, cap)
-        }
-    }
-
-    /// Install a freshly decoded segment into the clock cache (lock
-    /// held). The sweep clears reference bits on the way past, so it
-    /// terminates within two revolutions.
-    fn install(state: &mut PagedState, cap: usize, seg: usize, dec: &Arc<DecodedSegment>) {
-        if state.slots.len() < cap {
-            state.slots.push(ClockSlot {
-                seg,
-                dec: Arc::clone(dec),
-                referenced: true,
-            });
-            return;
-        }
-        loop {
-            let slot = &mut state.slots[state.hand];
-            if slot.referenced {
-                slot.referenced = false;
-                state.hand = (state.hand + 1) % state.slots.len();
-            } else {
-                *slot = ClockSlot {
-                    seg,
-                    dec: Arc::clone(dec),
-                    referenced: true,
-                };
-                state.hand = (state.hand + 1) % state.slots.len();
-                break;
-            }
-        }
-    }
-}
-
-impl Debug for PagedImageProvider {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PagedImageProvider")
-            .field("segments", &self.image.seg_count())
-            .field("cap", &self.cap)
-            .finish()
-    }
-}
-
-impl ImageProvider for PagedImageProvider {
-    fn seg_rows(&self) -> usize {
-        self.image.seg_rows()
-    }
-
-    fn seg_count(&self) -> usize {
-        self.image.seg_count()
-    }
-
-    fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
-        self.image.zone(col, seg)
-    }
-
-    fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>> {
-        // The lease edge: under paged storage this is the injectable
-        // fault point (decodes themselves are in-memory and infallible).
-        fault::retry_io(io.faults(), || {
-            fault::inject(io.faults(), FaultKind::Lease, "lease segment-cache slot")
-        })
-        .map_err(|e| fault::io_error("lease segment-cache slot", &e))?;
-        let mut state = fault::lock_recover(&self.state);
-        loop {
-            if let Some(slot) = state.slots.iter_mut().find(|s| s.seg == seg) {
-                slot.referenced = true;
-                return Ok(Arc::clone(&slot.dec));
-            }
-            if state.in_flight.contains(&seg) {
-                // Someone else is decoding exactly this segment: wait
-                // for the install instead of decoding it twice. After
-                // waking, re-check the cache — under heavy eviction the
-                // segment may already be gone again, in which case this
-                // worker becomes the decoder.
-                state = self
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            } else {
-                break;
-            }
-        }
-        state.in_flight.push(seg);
-        drop(state);
-        // Remove the latch and wake peers on every exit — including an
-        // unwind out of the decode — so no failure wedges this segment.
-        struct Latch<'a> {
-            provider: &'a PagedImageProvider,
-            seg: usize,
-        }
-        impl Drop for Latch<'_> {
-            fn drop(&mut self) {
-                let mut state = fault::lock_recover(&self.provider.state);
-                state.in_flight.retain(|&s| s != self.seg);
-                drop(state);
-                self.provider.cv.notify_all();
-            }
-        }
-        let _latch = Latch {
-            provider: self,
-            seg,
-        };
-        // The decode itself runs with no lock held: workers on other
-        // segments hit or decode concurrently.
-        #[cfg(test)]
-        if let Some(gate) = &self.gate {
-            gate(seg);
-        }
-        let dec = Arc::new(self.image.decode(seg));
-        io.decoded(dec.bytes);
-        let mut state = fault::lock_recover(&self.state);
-        Self::install(&mut state, self.cap, seg, &dec);
-        drop(state);
-        Ok(dec)
-    }
-}
-
-/// The provider the engine's configuration asks for.
-/// [`StorageMode::Plain`] never reaches a provider (scans use the plain
-/// image directly), so it maps to the resident provider for callers
-/// that want one anyway. [`StorageMode::Disk`] is not constructible
-/// from an in-memory image — disk scans build a
-/// [`crate::store::DiskImageProvider`] from the relation's segment
-/// files instead — so it maps to the paged provider here.
-pub fn provider_for(
-    image: Arc<SegmentedImage>,
-    mode: StorageMode,
-    cap: usize,
-) -> Arc<dyn ImageProvider> {
-    match mode {
-        StorageMode::Paged | StorageMode::Disk => Arc::new(PagedImageProvider::new(image, cap)),
-        StorageMode::Plain | StorageMode::Segmented => Arc::new(MemImageProvider::new(image)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{BufferPool, PooledImageProvider, SegmentSource};
     use crate::value::Value;
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
-    use std::sync::Barrier;
+    use std::sync::{Barrier, Condvar};
     use std::time::Duration;
 
     fn image(rows: usize, seg_rows: usize) -> Arc<SegmentedImage> {
@@ -396,16 +183,24 @@ mod tests {
         assert_eq!(p.zone(0, 0).min, Value::Int(0));
     }
 
+    /// The paged provider: in-memory encoded segments leased from a
+    /// private buffer pool of `cap` decoded segments.
+    fn paged(image: Arc<SegmentedImage>, cap: usize) -> PooledImageProvider {
+        PooledImageProvider::new(SegmentSource::Mem(image), Arc::new(BufferPool::new(cap)))
+    }
+
     #[test]
     fn paged_provider_evicts_cold_segments() {
-        let p = PagedImageProvider::new(image(12, 4), 2);
+        let p = paged(image(12, 4), 2);
         let io = IoCounters::default();
         p.segment(0, &io).unwrap();
         p.segment(1, &io).unwrap();
         let full = io.decoded_bytes.load(Ordering::Relaxed);
+        assert_eq!(io.pool_misses.load(Ordering::Relaxed), 2);
         // Hits don't decode.
         p.segment(0, &io).unwrap();
         assert_eq!(io.decoded_bytes.load(Ordering::Relaxed), full);
+        assert_eq!(io.pool_hits.load(Ordering::Relaxed), 1);
         // A third segment evicts one of the two; touring all three with
         // cap 2 forces re-decodes.
         p.segment(2, &io).unwrap();
@@ -415,29 +210,23 @@ mod tests {
         // Values still come back correct after eviction churn.
         let d = p.segment(1, &io).unwrap();
         assert_eq!(d.cols[0].get(0), Value::Int(4));
-    }
-
-    #[test]
-    fn factory_picks_by_mode() {
-        let img = image(4, 2);
-        assert!(format!(
-            "{:?}",
-            provider_for(Arc::clone(&img), StorageMode::Paged, 2)
-        )
-        .contains("Paged"));
-        assert!(format!("{:?}", provider_for(img, StorageMode::Segmented, 2)).contains("Mem"));
+        assert_eq!(
+            io.pages_read.load(Ordering::Relaxed),
+            0,
+            "paged reads no pages"
+        );
     }
 
     /// The in-flight latch dedups concurrent decodes: 4 workers racing
-    /// over every segment of one provider (capacity ≥ segment count, so
-    /// nothing is ever evicted) decode each segment exactly once —
-    /// total decoded bytes equal one full tour of the image.
+    /// over every segment of one paged provider (pool capacity ≥ segment
+    /// count, so nothing is ever evicted) decode each segment exactly
+    /// once — total decoded bytes equal one full tour of the image.
     #[test]
     fn concurrent_workers_decode_each_segment_once() {
         let img = image(64, 4);
         let segs = img.seg_count();
         let one_tour: usize = (0..segs).map(|s| img.decode(s).bytes).sum();
-        let p = Arc::new(PagedImageProvider::new(Arc::clone(&img), segs));
+        let p = Arc::new(paged(Arc::clone(&img), segs));
         let io = Arc::new(IoCounters::default());
         let barrier = Arc::new(Barrier::new(4));
         let workers: Vec<_> = (0..4)
@@ -463,113 +252,119 @@ mod tests {
             one_tour,
             "latch failed: some segment was decoded more than once"
         );
+        assert_eq!(io.pool_misses.load(Ordering::Relaxed), segs);
     }
 
-    /// Decodes must not serialize the whole cache: while one worker is
-    /// stuck mid-decode of segment 0 (held open by the test gate), a
-    /// second worker must still complete a *hit* on an already-resident
-    /// segment. If decoding ever moves back under the cache lock, the
-    /// second worker blocks and this test fails by timeout instead of
-    /// hanging the suite.
+    /// A pool-miss load of segment `seg` of `img` that blocks inside the
+    /// `load` closure — after the pool lock is released — until
+    /// `release` is set, announcing entry through `entered`.
+    fn gated_get(
+        pool: &BufferPool,
+        img: &SegmentedImage,
+        seg: usize,
+        io: &IoCounters,
+        entered: &(Mutex<usize>, Condvar),
+        release: &AtomicBool,
+    ) -> Arc<DecodedSegment> {
+        pool.get((img.id(), seg), io, || {
+            let (count, cv) = entered;
+            *count.lock().unwrap() += 1;
+            cv.notify_all();
+            while !release.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let d = img.decode(seg);
+            io.decoded(d.bytes);
+            Ok(Arc::new(d))
+        })
+        .unwrap()
+    }
+
+    /// Block until `entered` counts at least one load in progress.
+    fn wait_entered(entered: &(Mutex<usize>, Condvar)) -> usize {
+        let (count, cv) = entered;
+        let mut count = count.lock().unwrap();
+        while *count == 0 {
+            count = cv.wait(count).unwrap();
+        }
+        *count
+    }
+
+    /// Loads must not serialize the whole pool: while one worker is
+    /// stuck inside the load of segment 0, a second worker must still
+    /// complete a *hit* on an already-resident segment. If loading ever
+    /// moves back under the pool lock, the second worker blocks and this
+    /// test fails by timeout instead of hanging the suite.
     #[test]
     fn decode_does_not_hold_the_cache_lock() {
-        let entered = Arc::new((Mutex::new(false), Condvar::new()));
-        let release = Arc::new(AtomicBool::new(false));
-        let gate = {
-            let entered = Arc::clone(&entered);
-            let release = Arc::clone(&release);
-            Arc::new(move |seg: usize| {
-                if seg == 0 {
-                    let (flag, cv) = &*entered;
-                    *flag.lock().unwrap() = true;
-                    cv.notify_all();
-                    while !release.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        let p = Arc::new(PagedImageProvider::with_gate(image(12, 4), 3, gate));
+        let img = image(12, 4);
+        let pool = Arc::new(BufferPool::new(3));
         let io = Arc::new(IoCounters::default());
+        let entered = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let release = Arc::new(AtomicBool::new(false));
         // Make segment 1 resident before anything blocks.
-        p.segment(1, &io).unwrap();
+        let resident =
+            PooledImageProvider::new(SegmentSource::Mem(Arc::clone(&img)), Arc::clone(&pool));
+        resident.segment(1, &io).unwrap();
         let blocked = {
-            let (p, io) = (Arc::clone(&p), Arc::clone(&io));
-            std::thread::spawn(move || p.segment(0, &io).unwrap())
+            let (pool, img, io) = (Arc::clone(&pool), Arc::clone(&img), Arc::clone(&io));
+            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+            std::thread::spawn(move || gated_get(&pool, &img, 0, &io, &entered, &release))
         };
-        // Wait until the blocked worker is inside the decode (lock
-        // released, gate held).
-        {
-            let (flag, cv) = &*entered;
-            let mut flag = flag.lock().unwrap();
-            while !*flag {
-                flag = cv.wait(flag).unwrap();
-            }
-        }
-        // A hit on segment 1 must complete while the decode is stuck.
+        wait_entered(&entered);
+        // A hit on segment 1 must complete while the load is stuck.
         let (tx, rx) = mpsc::channel();
         let hitter = {
-            let (p, io) = (Arc::clone(&p), Arc::clone(&io));
+            let io = Arc::clone(&io);
             std::thread::spawn(move || {
-                let d = p.segment(1, &io).unwrap();
+                let d = resident.segment(1, &io).unwrap();
                 tx.send(d.start).unwrap();
             })
         };
         let start = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("hit on a resident segment serialized behind an in-flight decode");
+            .expect("hit on a resident segment serialized behind an in-flight load");
         assert_eq!(start, 4);
         release.store(true, Ordering::Release);
         assert_eq!(blocked.join().unwrap().start, 0);
         hitter.join().unwrap();
+        assert_eq!(pool.in_flight_len(), 0);
     }
 
     /// Two workers asking for the *same* in-flight segment: the second
-    /// waits on the latch and reuses the first worker's decode (exactly
+    /// waits on the latch and reuses the first worker's load (exactly
     /// one decode total), rather than duplicating it.
     #[test]
     fn same_segment_waiters_share_one_decode() {
+        let img = image(8, 4);
+        let pool = Arc::new(BufferPool::new(2));
+        let io = Arc::new(IoCounters::default());
         let entered = Arc::new((Mutex::new(0usize), Condvar::new()));
         let release = Arc::new(AtomicBool::new(false));
-        let gate = {
-            let entered = Arc::clone(&entered);
-            let release = Arc::clone(&release);
-            Arc::new(move |_seg: usize| {
-                let (count, cv) = &*entered;
-                *count.lock().unwrap() += 1;
-                cv.notify_all();
-                while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
-        };
-        let p = Arc::new(PagedImageProvider::with_gate(image(8, 4), 2, gate));
-        let io = Arc::new(IoCounters::default());
         let workers: Vec<_> = (0..2)
             .map(|_| {
-                let (p, io) = (Arc::clone(&p), Arc::clone(&io));
-                std::thread::spawn(move || p.segment(0, &io).unwrap())
+                let (pool, img, io) = (Arc::clone(&pool), Arc::clone(&img), Arc::clone(&io));
+                let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+                std::thread::spawn(move || gated_get(&pool, &img, 0, &io, &entered, &release))
             })
             .collect();
-        // Exactly one worker reaches the decode; the other parks on the
+        // Exactly one worker reaches the load; the other parks on the
         // latch. (Give the loser a moment to park, then release.)
-        {
-            let (count, cv) = &*entered;
-            let mut count = count.lock().unwrap();
-            while *count == 0 {
-                count = cv.wait(count).unwrap();
-            }
-            assert_eq!(*count, 1, "both workers entered the decode");
-        }
+        assert_eq!(wait_entered(&entered), 1, "both workers entered the load");
         std::thread::sleep(Duration::from_millis(50));
-        {
-            let (count, _) = &*entered;
-            assert_eq!(*count.lock().unwrap(), 1, "latch let a duplicate decode in");
-        }
+        assert_eq!(
+            *entered.0.lock().unwrap(),
+            1,
+            "latch let a duplicate load in"
+        );
         release.store(true, Ordering::Release);
         let decs: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
         assert!(Arc::ptr_eq(&decs[0], &decs[1]), "waiter got its own decode");
-        let one = p.image.decode(0).bytes;
-        assert_eq!(io.decoded_bytes.load(Ordering::Relaxed), one);
+        assert_eq!(
+            io.decoded_bytes.load(Ordering::Relaxed),
+            img.decode(0).bytes
+        );
+        assert_eq!(io.pool_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(io.pool_hits.load(Ordering::Relaxed), 1);
     }
 }

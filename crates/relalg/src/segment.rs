@@ -32,6 +32,7 @@ use crate::stats::TableStats;
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Per-(column, segment) summary statistics: the min/max bounds under
@@ -406,6 +407,9 @@ pub struct DecodedSegment {
 /// in segmented storage never touches the plain columnar image.
 #[derive(Debug)]
 pub struct SegmentedImage {
+    /// Process-unique id keying this image's segments in the shared
+    /// [`crate::store::BufferPool`].
+    id: u64,
     seg_rows: usize,
     len: usize,
     cols: Vec<Vec<ColumnSegment>>,
@@ -420,6 +424,12 @@ impl SegmentedImage {
             b.push(r);
         }
         b.finish()
+    }
+
+    /// The process-unique id keying this image's segments in the
+    /// shared buffer pool.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Rows per segment.
@@ -579,12 +589,21 @@ impl SegmentedBuilder {
             minmax,
         };
         SegmentedImage {
+            id: next_image_id(),
             seg_rows: self.seg_rows,
             len: self.len,
             cols: self.cols,
             stats,
         }
     }
+}
+
+/// A fresh process-unique image id. In-memory and on-disk images draw
+/// from one counter, so their segments never collide in the shared
+/// buffer pool.
+pub(crate) fn next_image_id() -> u64 {
+    static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
+    NEXT_IMAGE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// 64-bit FxHash digest of a value (the NDV approximation unit). Shared

@@ -27,19 +27,22 @@
 //!   [`crate::fault`]); those surface as clean [`Error::Io`] after
 //!   bounded transient retries — never as a panic or a wrong answer.
 //!
-//! Scans reach segments through a [`DiskImageProvider`] whose fetches
+//! Scans reach segments through a `PooledImageProvider` whose fetches
 //! lease slots from a [`BufferPool`] **shared across all relations**
 //! (keyed by a process-unique image id): the pool holds at most `cap`
-//! decoded segments under clock eviction, disk reads happen outside the
-//! pool lock behind a per-segment in-flight latch, and
-//! [`IoCounters`] observes pages read plus pool hits/misses.
+//! decoded segments under clock eviction, misses load outside the pool
+//! lock behind a per-segment in-flight latch, and [`IoCounters`]
+//! observes pages read plus pool hits/misses. The same pool serves
+//! paged storage, whose misses decode in-memory encoded segments
+//! instead of reading pages.
 
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultInjector, FaultKind};
 use crate::provider::{ImageProvider, IoCounters};
 use crate::relation::{Column, NullMask, Row};
 use crate::segment::{
-    value_digest, ColumnSegment, DecodedSegment, SegEncoding, SegmentedImage, ZoneMap,
+    next_image_id, value_digest, ColumnSegment, DecodedSegment, SegEncoding, SegmentedImage,
+    ZoneMap,
 };
 use crate::stats::TableStats;
 use crate::value::{intern, Value};
@@ -492,8 +495,6 @@ struct BlockRef {
     crc: u32,
 }
 
-static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
-
 /// An opened on-disk relation image: the page-file handle, the parsed
 /// manifest (geometry, names, statistics, zone maps, block directory),
 /// and a process-unique id that keys this image's segments in the
@@ -648,7 +649,7 @@ impl DiskImage {
             )));
         }
         let img = DiskImage {
-            id: NEXT_IMAGE_ID.fetch_add(1, Ordering::Relaxed),
+            id: next_image_id(),
             seg_path: spath,
             file,
             seg_rows,
@@ -797,7 +798,7 @@ impl DiskImage {
     }
 
     /// Materialize the full row store (the fallback for operators that
-    /// need rows — breakers, spill paths, row cursors). Streams one
+    /// need rows — breakers and spill paths). Streams one
     /// segment at a time; the decoded segments are transient.
     pub fn decode_rows(&self) -> Result<Vec<Row>> {
         let io = IoCounters::default();
@@ -1167,15 +1168,14 @@ struct PoolState {
 }
 
 /// A clock-eviction cache of decoded segments shared across *all*
-/// relations scanned under disk storage: per-scan providers lease slots
-/// from it, so concurrent queries over different tables compete for the
-/// same bounded memory — the paper's "conventional DBMS" discipline.
+/// relations scanned under paged or disk storage: per-scan providers
+/// lease slots from it, so concurrent queries over different tables
+/// compete for the same bounded memory — the paper's "conventional
+/// DBMS" discipline.
 ///
-/// Disk reads and decodes happen outside the pool lock behind a
-/// per-key in-flight latch (exactly one loader per segment; peers wait
-/// on the condvar; unrelated fetches proceed concurrently), which is
-/// the same locking discipline as
-/// [`crate::provider::PagedImageProvider`] — mandatory here, where a
+/// Loads (disk reads, decodes) happen outside the pool lock behind a
+/// per-key in-flight latch: exactly one loader per segment, peers wait
+/// on the condvar, and unrelated fetches proceed concurrently. A
 /// blocking `read_at` under a global mutex would serialize every morsel
 /// worker on cold pages.
 pub struct BufferPool {
@@ -1324,50 +1324,68 @@ pub fn pool_for(cap: usize) -> Arc<BufferPool> {
 }
 
 // ---------------------------------------------------------------------------
-// DiskImageProvider
+// PooledImageProvider
 // ---------------------------------------------------------------------------
 
-/// [`ImageProvider`] over an opened [`DiskImage`]: layout and zone maps
-/// come from the manifest; segment fetches lease slots from the shared
-/// [`BufferPool`].
-pub struct DiskImageProvider {
-    image: Arc<DiskImage>,
+/// Where a [`PooledImageProvider`] loads a segment on a pool miss.
+#[derive(Debug)]
+pub(crate) enum SegmentSource {
+    /// Paged storage: in-memory encoded segments, decoded on a miss.
+    Mem(Arc<SegmentedImage>),
+    /// Disk storage: a page file, read and decoded on a miss.
+    Disk(Arc<DiskImage>),
+}
+
+/// [`ImageProvider`] whose segment fetches lease slots from a shared
+/// [`BufferPool`], keyed by `(image id, segment)`. Layout and zone maps
+/// come from the source image (for disk, the manifest) without touching
+/// segment data; only the miss path differs between sources.
+#[derive(Debug)]
+pub(crate) struct PooledImageProvider {
+    source: SegmentSource,
     pool: Arc<BufferPool>,
 }
 
-impl DiskImageProvider {
-    /// Provider over `image`, fetching through `pool`.
-    pub fn new(image: Arc<DiskImage>, pool: Arc<BufferPool>) -> DiskImageProvider {
-        DiskImageProvider { image, pool }
+impl PooledImageProvider {
+    /// Provider over `source`, fetching through `pool`.
+    pub(crate) fn new(source: SegmentSource, pool: Arc<BufferPool>) -> PooledImageProvider {
+        PooledImageProvider { source, pool }
     }
 }
 
-impl Debug for DiskImageProvider {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskImageProvider")
-            .field("image", &self.image)
-            .field("pool_cap", &self.pool.cap())
-            .finish()
-    }
-}
-
-impl ImageProvider for DiskImageProvider {
+impl ImageProvider for PooledImageProvider {
     fn seg_rows(&self) -> usize {
-        self.image.seg_rows()
+        match &self.source {
+            SegmentSource::Mem(img) => img.seg_rows(),
+            SegmentSource::Disk(img) => img.seg_rows(),
+        }
     }
 
     fn seg_count(&self) -> usize {
-        self.image.seg_count()
+        match &self.source {
+            SegmentSource::Mem(img) => img.seg_count(),
+            SegmentSource::Disk(img) => img.seg_count(),
+        }
     }
 
     fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
-        self.image.zone(col, seg)
+        match &self.source {
+            SegmentSource::Mem(img) => img.zone(col, seg),
+            SegmentSource::Disk(img) => img.zone(col, seg),
+        }
     }
 
     fn segment(&self, seg: usize, io: &IoCounters) -> Result<Arc<DecodedSegment>> {
-        self.pool.get((self.image.id, seg), io, || {
-            Ok(Arc::new(self.image.read_segment(seg, io)?))
-        })
+        match &self.source {
+            SegmentSource::Mem(img) => self.pool.get((img.id(), seg), io, || {
+                let dec = img.decode(seg);
+                io.decoded(dec.bytes);
+                Ok(Arc::new(dec))
+            }),
+            SegmentSource::Disk(img) => self.pool.get((img.id, seg), io, || {
+                Ok(Arc::new(img.read_segment(seg, io)?))
+            }),
+        }
     }
 }
 
@@ -1494,8 +1512,8 @@ mod tests {
         let ib = write_image_scratch(&b.segments(8), &names(&b)).unwrap();
         assert_ne!(ia.id, ib.id, "image ids must be process-unique");
         let pool = Arc::new(BufferPool::new(3));
-        let pa = DiskImageProvider::new(Arc::clone(&ia), Arc::clone(&pool));
-        let pb = DiskImageProvider::new(Arc::clone(&ib), Arc::clone(&pool));
+        let pa = PooledImageProvider::new(SegmentSource::Disk(Arc::clone(&ia)), Arc::clone(&pool));
+        let pb = PooledImageProvider::new(SegmentSource::Disk(Arc::clone(&ib)), Arc::clone(&pool));
         let io = IoCounters::default();
         // Both relations' segments flow through the same slots.
         pa.segment(0, &io).unwrap();
@@ -1549,7 +1567,10 @@ mod tests {
                     barrier.wait();
                     for i in 0..8 {
                         let seg = (i + w * 2) % 8;
-                        let p = DiskImageProvider::new(Arc::clone(&img), Arc::clone(&pool));
+                        let p = PooledImageProvider::new(
+                            SegmentSource::Disk(Arc::clone(&img)),
+                            Arc::clone(&pool),
+                        );
                         let d = p.segment(seg, &io).unwrap();
                         assert_eq!(d.start, seg * 8);
                     }

@@ -354,20 +354,18 @@ proptest! {
             batched_rows == sorted_rows(&reference),
             "batched vs reference diverge for {q:?}\nplan: {plan:?}"
         );
-        if streamed.batched() && stats.buffers == 0 {
+        if stats.buffers == 0 {
             prop_assert!(
                 stats.buffered_rows == 0,
                 "bufferless batched pipeline copied rows: {stats:?}"
             );
         }
-        // Every batched pipeline accounts for the rows it emitted.
-        if streamed.batched() {
-            prop_assert!(
-                stats.batch_rows >= batched_rows.len(),
-                "batch accounting lost rows: {stats:?} vs {}",
-                batched_rows.len()
-            );
-        }
+        // Every pipeline accounts for the rows it emitted.
+        prop_assert!(
+            stats.batch_rows >= batched_rows.len(),
+            "batch accounting lost rows: {stats:?} vs {}",
+            batched_rows.len()
+        );
     }
 }
 
@@ -478,7 +476,6 @@ fn batched_translated_pipeline_reports_zero_row_buffers() {
     let streamed = exec::stream(&plan, &cat).unwrap();
     let n = streamed.collect_rows(None).unwrap().len();
     let stats = streamed.stats();
-    assert!(streamed.batched(), "translated σ/π chain should vectorize");
     assert!(stats.batches > 0, "{stats:?}");
     assert!(stats.batch_rows >= n, "{stats:?}");
     assert_eq!(
@@ -533,8 +530,8 @@ proptest! {
     /// The spill-vs-in-memory oracle on random *plain* relational plans
     /// (hash joins, nested loops, semi/antijoins, set operations,
     /// distinct): byte-identical output under a tiny budget at 1 and 4
-    /// workers, and limited pulls (the row-cursor path, including the
-    /// spilled-join bridge) agree with prefixes of the full pull.
+    /// workers, and limited pulls (serial, over spilled builds too)
+    /// agree with prefixes of the full pull.
     #[test]
     fn spilled_plain_plans_match_in_memory_byte_for_byte(
         catalog in arb_catalog(),
@@ -557,8 +554,7 @@ proptest! {
                     rows == unbounded_rows,
                     "budgeted x{threads} differs from unbounded for {plan:?}"
                 );
-                // Limited pulls ride the row cursors over the same
-                // prepared tree (spilled builds bridge batch-wise).
+                // Limited pulls run serial over the same prepared tree.
                 let prefix = streamed.collect_rows(Some(3)).unwrap();
                 prop_assert!(
                     prefix == unbounded_rows[..unbounded_rows.len().min(3)].to_vec(),
@@ -575,12 +571,12 @@ proptest! {
     /// The storage oracle on *translated* plans: random reduced or-set
     /// databases and random logical queries run against the plain
     /// columnar image and against compressed segments — decoded eagerly
-    /// (segmented), through a 2-slot paged cache, and from on-disk
-    /// segment files through a 2-slot buffer pool — at 1 and 4 workers.
-    /// Segments are 3 rows so tiny databases still span several and the
-    /// paged provider / buffer pool actually evict; output must be
-    /// **byte-identical** (rows and order) to the plain serial pull,
-    /// and the cold disk run must actually miss the undersized pool.
+    /// (segmented), and from in-memory (paged) or on-disk segments
+    /// through a 2-slot buffer pool — at 1 and 4 workers. Segments are
+    /// 3 rows so tiny databases still span several and the buffer pool
+    /// actually evicts; output must be **byte-identical** (rows and
+    /// order) to the plain serial pull, and the cold paged and disk runs
+    /// must actually miss the undersized pool.
     #[test]
     fn segmented_translated_plans_match_plain_byte_for_byte(
         db in arb_udb(),
@@ -598,7 +594,7 @@ proptest! {
             for threads in [1usize, 4] {
                 let mut cat = prepared.catalog().clone();
                 cat.set_storage(mode);
-                cat.set_segment_layout(3, 2);
+                cat.set_segment_rows(3);
                 cat.set_buffer_pool(2);
                 cat.set_threads(threads);
                 cat.set_parallel_granularity(4, 0);
@@ -608,13 +604,14 @@ proptest! {
                     rows == plain_rows,
                     "{mode:?} x{threads} differs from plain for {q:?}\nplan: {plan:?}"
                 );
-                // The first disk pull is cold: every produced row came
-                // through a segment fetch, so the 2-slot pool must miss.
-                if mode == StorageMode::Disk && threads == 1 && !plain_rows.is_empty() {
+                // The first paged and disk pulls are cold: every produced
+                // row came through a segment fetch, so the 2-slot pool
+                // must miss.
+                if mode != StorageMode::Segmented && threads == 1 && !plain_rows.is_empty() {
                     let stats = streamed.stats();
                     prop_assert!(
                         stats.pool_misses > 0,
-                        "cold disk run never missed the 2-slot buffer pool for {q:?}"
+                        "cold {mode:?} run never missed the 2-slot buffer pool for {q:?}"
                     );
                 }
             }
@@ -644,7 +641,7 @@ proptest! {
                 for threads in [1usize, 4] {
                     let mut cat = catalog.clone();
                     cat.set_storage(mode);
-                    cat.set_segment_layout(3, 2);
+                    cat.set_segment_rows(3);
                     cat.set_buffer_pool(2);
                     cat.set_threads(threads);
                     cat.set_parallel_granularity(3, 0);
@@ -654,10 +651,10 @@ proptest! {
                         rows == plain_rows,
                         "{mode:?} x{threads} differs from plain for {plan:?}"
                     );
-                    if mode == StorageMode::Disk && threads == 1 && !plain_rows.is_empty() {
+                    if mode != StorageMode::Segmented && threads == 1 && !plain_rows.is_empty() {
                         prop_assert!(
                             streamed.stats().pool_misses > 0,
-                            "cold disk run never missed the pool for {plan:?}"
+                            "cold {mode:?} run never missed the pool for {plan:?}"
                         );
                     }
                     let prefix = streamed.collect_rows(Some(3)).unwrap();

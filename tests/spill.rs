@@ -248,8 +248,8 @@ fn spill_directory_is_removed_after_an_aborted_run() {
         *slot.lock().unwrap() = Some(streamed.spill_dir().expect("build spilled at prepare"));
         let mut n = 0usize;
         streamed
-            .for_each_row(|_| {
-                n += 1;
+            .for_each_batch(|b| {
+                n += b.len();
                 if n > 10 {
                     panic!("aborting mid-pull");
                 }

@@ -9,8 +9,8 @@
 //!   anti-no-op guard: a full scan must skip nothing);
 //! * byte-identical output across {plain, segmented, paged, disk} ×
 //!   {1, 4} workers on a multi-operator plan over null-bearing data;
-//! * paged-provider eviction churn with a 2-segment cache, and disk
-//!   scans faulting through an undersized shared buffer pool;
+//! * paged and disk scans faulting through an undersized shared buffer
+//!   pool, and limited pulls reaching storage like full pulls;
 //! * the CI `storage` leg's no-op guard: when `RELALG_STORAGE` is set,
 //!   the engine default must reflect it and a scan must actually move
 //!   segments — so the matrix leg cannot silently degrade into a plain
@@ -46,13 +46,13 @@ fn seg_rel(n: i64) -> Relation {
 
 /// A catalog configured *before* inserts, so registration derives table
 /// statistics from the segmented image when the mode asks for one.
-fn storage_catalog(mode: StorageMode, seg_rows: usize, cache: usize, threads: usize) -> Catalog {
+/// Paged and disk scans lease from the shared buffer pool of `pool`
+/// decoded segments.
+fn storage_catalog(mode: StorageMode, seg_rows: usize, pool: usize, threads: usize) -> Catalog {
     let mut c = Catalog::new();
     c.set_storage(mode);
-    c.set_segment_layout(seg_rows, cache);
-    // Disk mode routes fetches through the shared buffer pool instead of
-    // the per-provider clock cache; give it the same (tiny) capacity.
-    c.set_buffer_pool(cache);
+    c.set_segment_rows(seg_rows);
+    c.set_buffer_pool(pool);
     c.set_threads(threads);
     c.set_parallel_granularity(64, 0);
     c
@@ -60,20 +60,40 @@ fn storage_catalog(mode: StorageMode, seg_rows: usize, cache: usize, threads: us
 
 #[test]
 fn selective_scan_skips_segments_and_full_scan_skips_none() {
-    let mut cat = storage_catalog(StorageMode::Segmented, 16, 8, 1);
-    cat.insert("t", seg_rel(256)); // 16 segments of 16 rows
-    let selective = Plan::scan("t").select(col("k").lt(lit_i64(16)));
-    let (out, stats) = exec::execute_with_stats(&selective, &cat).unwrap();
-    assert_eq!(out.len(), 16);
-    assert_eq!(stats.segments_scanned, 1, "{stats:?}");
-    assert_eq!(stats.segments_skipped, 15, "{stats:?}");
-    // Anti-no-op guard: an unfiltered scan must touch every segment.
-    let full = Plan::scan("t").project_names(["k"]);
-    let (out, stats) = exec::execute_with_stats(&full, &cat).unwrap();
-    assert_eq!(out.len(), 256);
-    assert_eq!(stats.segments_scanned, 16, "{stats:?}");
-    assert_eq!(stats.segments_skipped, 0, "{stats:?}");
-    assert!(stats.decoded_bytes > 0, "{stats:?}");
+    for mode in [
+        StorageMode::Segmented,
+        StorageMode::Paged,
+        StorageMode::Disk,
+    ] {
+        let mut cat = storage_catalog(mode, 16, 8, 1);
+        cat.insert("t", seg_rel(256)); // 16 segments of 16 rows
+                                       // Only the last segment can match, so every pull that reaches
+                                       // it has refuted the 15 before.
+        let selective = Plan::scan("t").select(col("k").ge(lit_i64(240)));
+        // A limited pull goes through storage like a full pull: same
+        // zone skips, real segment traffic, and (cold) pool misses.
+        let limited = exec::stream(&selective, &cat).unwrap();
+        let rows = limited.collect_rows(Some(3)).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0][0], Value::Int(240));
+        let stats = limited.stats();
+        assert!(stats.segments_scanned >= 1, "{mode:?} limited: {stats:?}");
+        assert_eq!(stats.segments_skipped, 15, "{mode:?} limited: {stats:?}");
+        if mode != StorageMode::Segmented {
+            assert!(stats.pool_misses > 0, "{mode:?} limited: {stats:?}");
+        }
+        let (out, stats) = exec::execute_with_stats(&selective, &cat).unwrap();
+        assert_eq!(out.len(), 16);
+        assert_eq!(stats.segments_scanned, 1, "{mode:?}: {stats:?}");
+        assert_eq!(stats.segments_skipped, 15, "{mode:?}: {stats:?}");
+        // Anti-no-op guard: an unfiltered scan must touch every segment.
+        let full = Plan::scan("t").project_names(["k"]);
+        let (out, stats) = exec::execute_with_stats(&full, &cat).unwrap();
+        assert_eq!(out.len(), 256);
+        assert_eq!(stats.segments_scanned, 16, "{mode:?}: {stats:?}");
+        assert_eq!(stats.segments_skipped, 0, "{mode:?}: {stats:?}");
+        assert!(stats.decoded_bytes > 0, "{mode:?}: {stats:?}");
+    }
 }
 
 #[test]
@@ -119,8 +139,8 @@ fn storage_modes_are_byte_identical_on_a_multi_operator_plan() {
         )
         .project_names(["k", "region", "v"])
         .distinct();
-    let build = |mode, cache, threads| {
-        let mut c = storage_catalog(mode, 16, cache, threads);
+    let build = |mode, pool, threads| {
+        let mut c = storage_catalog(mode, 16, pool, threads);
         c.insert("t", seg_rel(300));
         c.insert(
             "u",
@@ -170,6 +190,15 @@ fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
     };
     let mut small = storage_catalog(StorageMode::Disk, 16, 2, 1);
     small.insert("t", seg_rel(320));
+    // A limited pull of the cold table reads pages through the pool.
+    let tail = Plan::scan("t").select(col("k").ge(lit_i64(304)));
+    let limited = exec::stream(&tail, &small).unwrap();
+    assert_eq!(limited.collect_rows(Some(3)).unwrap().len(), 3);
+    let stats = limited.stats();
+    assert_eq!(stats.segments_scanned, 1, "{stats:?}");
+    assert_eq!(stats.segments_skipped, 19, "{stats:?}");
+    assert!(stats.pages_read > 0, "{stats:?}");
+    assert!(stats.pool_misses > 0, "{stats:?}");
     let streamed = exec::stream(&p, &small).unwrap();
     assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
     let stats = streamed.stats();
@@ -193,7 +222,7 @@ fn disk_scans_miss_an_undersized_pool_and_hit_a_warm_one() {
 
 #[test]
 fn paged_provider_evicts_under_a_tiny_cache_and_stays_correct() {
-    // 20 segments stream through a 2-slot clock cache: every decode
+    // 20 segments stream through a 2-slot buffer pool: every decode
     // past the second evicts a resident segment, and batches handed
     // downstream keep their `Arc`ed columns alive past the eviction.
     let mut paged = storage_catalog(StorageMode::Paged, 16, 2, 1);
@@ -216,6 +245,10 @@ fn paged_provider_evicts_under_a_tiny_cache_and_stays_correct() {
     // materializes from the relation's row store, not the provider.
     assert_eq!(stats.segments_scanned, 20, "{stats:?}");
     assert!(stats.decoded_bytes > 0, "{stats:?}");
+    assert!(stats.pool_misses >= 20, "{stats:?}");
+    // A second pull finds at most two segments still resident.
+    assert_eq!(streamed.collect_rows(None).unwrap(), baseline);
+    assert!(streamed.stats().pool_misses >= 38, "{:?}", streamed.stats());
 }
 
 /// The CI `storage` matrix leg's anti-no-op guard. When `RELALG_STORAGE`
@@ -251,16 +284,20 @@ fn ci_storage_leg_actually_moves_segments() {
         stats.segments_scanned > 0,
         "segmented storage configured but no segment traffic: {stats:?}"
     );
-    // The disk leg must additionally move pages through the buffer pool
-    // (the CI leg shrinks RELALG_BUFFER_POOL below the working set).
-    if env_mode == Some(StorageMode::Disk) {
+    // The paged and disk legs must additionally move segments through
+    // the buffer pool (the CI legs shrink RELALG_BUFFER_POOL below the
+    // working set), and the disk leg pages as well.
+    let mode = env_mode.unwrap_or(StorageMode::Paged);
+    if matches!(mode, StorageMode::Paged | StorageMode::Disk) {
+        assert!(
+            stats.pool_misses > 0,
+            "{mode:?} storage configured but the buffer pool never missed: {stats:?}"
+        );
+    }
+    if mode == StorageMode::Disk {
         assert!(
             stats.pages_read > 0,
             "disk storage configured but no page traffic: {stats:?}"
-        );
-        assert!(
-            stats.pool_misses > 0,
-            "disk storage configured but the buffer pool never missed: {stats:?}"
         );
     }
 }
