@@ -59,9 +59,10 @@ pub struct EngineConfig {
     /// execution runs the schedule from tick 0, so a `(seed, rate)`
     /// pair names a reproducible fault sequence.
     pub faults: Option<FaultConfig>,
-    /// Per-query deadline (`RELALG_DEADLINE_MS`): executions past it
-    /// stop at the next batch/morsel boundary, release every resource
-    /// they hold, and return [`Error::Cancelled`]. `None` = no limit.
+    /// Per-query deadline ([`Catalog::set_deadline`]; the session
+    /// server sets it per request): executions past it stop at the next
+    /// batch/morsel boundary, release every resource they hold, and
+    /// return [`Error::Cancelled`]. `None` (the default) = no limit.
     pub deadline: Option<Duration>,
 }
 
@@ -112,7 +113,7 @@ impl Default for EngineConfig {
             segment_rows: default_segment_rows(),
             buffer_pool: default_buffer_pool(),
             faults: default_faults(),
-            deadline: default_deadline(),
+            deadline: None,
         }
     }
 }
@@ -125,19 +126,6 @@ fn default_faults() -> Option<FaultConfig> {
         std::env::var("RELALG_FAULTS")
             .ok()
             .and_then(|v| FaultConfig::parse(&v))
-    })
-}
-
-/// `RELALG_DEADLINE_MS`, read once per process; unset, unparseable or
-/// zero means no deadline.
-fn default_deadline() -> Option<Duration> {
-    static DEADLINE: std::sync::OnceLock<Option<Duration>> = std::sync::OnceLock::new();
-    *DEADLINE.get_or_init(|| {
-        std::env::var("RELALG_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
     })
 }
 

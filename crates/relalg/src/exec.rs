@@ -21,10 +21,13 @@
 //!    equality) producing selection vectors, projections shuffle column
 //!    pointers, and hash-join probes hash the key columns of a whole
 //!    batch before emitting matches as zero-copy views of both the probe
-//!    batch and the build image. Breakers (build sides,
-//!    distinct/difference seen-sets, sort, aggregation) consume and emit
-//!    batches too. Cross-side predicates — nested-loop theta joins,
-//!    residual and non-equi semijoins — run the *pair-batch evaluator*:
+//!    batch and the build image. Breakers (build sides, the seen-set
+//!    operator, sort, aggregation) consume and emit batches too. One
+//!    seen-set operator serves both duplicate elimination and set
+//!    difference: difference is distinct with an `except` side (the
+//!    materialized right relation) whose rows are dropped first.
+//!    Cross-side predicates — nested-loop theta joins, residual and
+//!    non-equi semijoins — run the *pair-batch evaluator*:
 //!    candidate (probe, buffered-side) pairs are assembled as zero-copy
 //!    batches and masked by the same vectorized kernels. A limited pull
 //!    ([`Streamed::collect_rows`] with a cap) stops pulling once the cap
@@ -35,14 +38,17 @@
 //!    estimates enough rows, a full pull fans the batched pipeline out:
 //!    the probe spine's columnar image splits into fixed-size morsels,
 //!    a [`TaskPool`] of scoped workers steals morsel ids off a shared
-//!    atomic exchange, and the gather re-assembles per-morsel outputs
-//!    in morsel order — replaying deferred distinct/difference seen-set
-//!    semantics — so parallel output is **byte-identical** to serial.
-//!    Hash-table builds fan out too (parallel digests into
-//!    digest-routed [`RowTable`] partitions), and
-//!    [`Streamed::fold_batches_parallel`] hands aggregation per-worker
-//!    partial states to merge. `EXPLAIN` tags parallel roots
-//!    `[parallel xN]`; [`ExecStats::workers`] reports the fan-out used.
+//!    atomic exchange, and one morsel driver runs the same cursor
+//!    builder over each morsel. A full row pull gathers the per-morsel
+//!    outputs in morsel order — replaying deferred seen-set semantics —
+//!    so parallel output is **byte-identical** to serial;
+//!    [`Streamed::fold_batches_parallel`] instead hands aggregation
+//!    per-worker partial states to merge. Hash-table builds fan out too
+//!    (parallel digests into digest-routed [`RowTable`] partitions).
+//!    The parallel decision is made once, on the logical plan, by the
+//!    same function `EXPLAIN` uses to tag parallel roots
+//!    `[parallel xN]` ([`predicted_workers`]); [`ExecStats::workers`]
+//!    reports the fan-out used.
 //!
 //! Zero-copy guarantees carry over from the shared-relation engine:
 //! `Scan`/`Values` still hand back the catalog's own `Arc<Relation>`
@@ -57,8 +63,8 @@
 //! shared [`SpillCtx`] tracker and spill to sorted runs in a scoped
 //! temp directory when they cross the budget's per-worker share:
 //! hash-join builds become on-disk digest partitions probed by a
-//! recursive hybrid-hash protocol, and distinct/difference seen-sets
-//! flush with first-occurrence candidates resolved at end of input
+//! recursive hybrid-hash protocol, and seen-sets flush with
+//! first-occurrence candidates resolved at end of input
 //! (sort and aggregation spill on their own consumers' side). Spilled
 //! execution is byte-identical to unbounded execution. A plan whose
 //! join build spilled runs serial.
@@ -77,7 +83,7 @@ use crate::error::{Error, Result};
 use crate::expr::{CmpOp, CompiledExpr, Expr};
 use crate::fault::{self, CancelToken, FaultInjector};
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use crate::optimizer::{est_rows, est_rows_cached, EstCache};
+use crate::optimizer::{est_rows_cached, shape_cached, EstCache};
 use crate::plan::Plan;
 use crate::pool::TaskPool;
 use crate::provider::{ImageProvider, IoCounters, MemImageProvider};
@@ -365,8 +371,10 @@ impl Counters {
 struct ParallelSpec {
     /// Number of morsels the root pipeline's source spine splits into.
     morsels: usize,
-    /// `true` when the gather must replay deferred distinct/difference
-    /// seen-set semantics on the morsel-ordered output.
+    /// Rows per morsel.
+    morsel_rows: usize,
+    /// `true` when the gather must replay deferred seen-set semantics
+    /// on the morsel-ordered output.
     dedup: bool,
 }
 
@@ -380,7 +388,6 @@ pub struct Streamed {
     /// Morsel-parallel execution plan (`None` → every pull is serial).
     parallel: Option<ParallelSpec>,
     pool: TaskPool,
-    morsel_rows: usize,
     /// `true` when a hash-join build spilled at prepare time (which is
     /// what forces serial pulls).
     spilled_build: bool,
@@ -428,29 +435,23 @@ pub fn stream(plan: &Plan, catalog: &Catalog) -> Result<Streamed> {
     // infallible cursor interfaces as query pulls, so mid-pull I/O
     // errors unwind (`fault::rethrow`) and convert back to `Err` here.
     let (root, schema) = fault::catch_pull(|| prepare(plan, &ctx))??;
-    // The parallel decision: enough configured workers, more than one
-    // morsel to fan out, a gather-safe operator tree, and an optimizer
-    // estimate (reusing the prepare's EstCache) above the threshold —
-    // below it the exchange overhead outweighs the parallel win. A
-    // hash-join build that spilled at prepare time forces serial pulls:
-    // every morsel cursor would otherwise re-probe the on-disk build
-    // partitions, multiplying the spill I/O by the morsel count.
+    // The plan-level parallel decision EXPLAIN prints, reusing the
+    // prepare's EstCache. A hash-join build that spilled at prepare time
+    // forces serial pulls: every morsel cursor would otherwise re-probe
+    // the on-disk build partitions, multiplying the spill I/O by the
+    // morsel count.
     let spilled_build = root.any_spilled_build();
-    let parallel = (cfg.threads > 1 && !spilled_build)
-        .then(|| {
-            let morsels = root.morsel_count(cfg.morsel_rows);
-            let dedup = root.parallel_dedup(false)?;
-            (morsels > 1 && est_rows_cached(plan, catalog, &est) >= cfg.parallel_min_rows as f64)
-                .then_some(ParallelSpec { morsels, dedup })
-        })
-        .flatten();
+    let parallel = if spilled_build {
+        None
+    } else {
+        parallel_spec(plan, catalog, &est)
+    };
     Ok(Streamed {
         root,
         schema,
         counters,
         parallel,
         pool: TaskPool::new(cfg.threads),
-        morsel_rows: cfg.morsel_rows,
         spilled_build,
         worker_batches: RefCell::new(Vec::new()),
     })
@@ -494,8 +495,8 @@ impl Streamed {
     /// Workers a full (unlimited) pull will fan out over: `1` means the
     /// plan runs serial (configured serial, too few estimated rows, a
     /// single morsel, or a gather-unsafe operator tree). Matches
-    /// [`ExecStats::workers`] after such a pull and the static
-    /// [`predicted_workers`] mirror EXPLAIN prints.
+    /// [`ExecStats::workers`] after such a pull and, unless a hash-join
+    /// build spilled, the [`predicted_workers`] EXPLAIN prints.
     pub fn planned_workers(&self) -> usize {
         self.parallel
             .as_ref()
@@ -524,10 +525,8 @@ impl Streamed {
     /// and truncates the last batch, so upstream work past the batch
     /// holding the last wanted row is never done.
     pub fn collect_rows(&self, limit: Option<usize>) -> Result<Vec<Row>> {
-        if limit.is_none() {
-            if let Some(rows) = self.parallel_rows() {
-                return rows;
-            }
+        if let (None, Some(spec)) = (limit, &self.parallel) {
+            return self.parallel_rows(spec);
         }
         let cap = limit.unwrap_or(usize::MAX);
         let mut rows = Vec::new();
@@ -547,7 +546,7 @@ impl Streamed {
     fn pull_serial(&self, mut f: impl FnMut(&ColumnBatch<'_>) -> Result<bool>) -> Result<()> {
         self.counters.reset_pull();
         fault::catch_pull(|| {
-            let mut cur = self.root.batch_cursor(&self.counters);
+            let mut cur = self.root.cursor(None, &self.counters);
             while let Some(b) = cur.next_batch() {
                 self.counters.cancel.check()?;
                 self.counters.batch(b.len());
@@ -559,108 +558,116 @@ impl Streamed {
         })?
     }
 
-    /// Morsel-parallel materialization of the root pipeline: workers
-    /// steal morsels off the shared exchange, run the batched cursor
-    /// tree over each (stateful operators keep morsel-local partial
-    /// seen-sets), and the gather re-assembles the per-morsel outputs in
-    /// morsel order — replaying deferred distinct/difference seen-set
-    /// semantics on the ordered stream — so the result is byte-identical
-    /// to a serial pull. `None` when the prepare decided to run serial.
-    fn parallel_rows(&self) -> Option<Result<Vec<Row>>> {
-        let spec = self.parallel.as_ref()?;
+    /// The morsel driver behind every parallel pull: workers steal
+    /// morsel ids off the shared exchange (ids strictly increasing per
+    /// worker), run the cursor tree over each morsel — stateful
+    /// operators keep morsel-local partial seen-sets — and fold its
+    /// batches into their own state via `fold(state, morsel id, batch)`.
+    /// Cancellation is checked at every morsel and batch boundary. The
+    /// first failure (cancellation, a `fold` error, or an I/O error a
+    /// cursor unwound) travels the [`fault::rethrow`] protocol: the
+    /// pool's abort flag stops the sibling workers and the error comes
+    /// back as `Err`. Records the fan-out and per-worker batch counters.
+    fn drive_morsels<T, I, F>(&self, spec: &ParallelSpec, init: I, fold: F) -> Result<Vec<T>>
+    where
+        T: Send,
+        I: Fn() -> T + Sync,
+        F: Fn(&mut T, usize, &ColumnBatch<'_>) -> Result<()> + Sync,
+    {
         self.counters.reset_pull();
-        #[derive(Default)]
-        struct WorkerOut {
-            per_morsel: Vec<(usize, Vec<Row>)>,
-            batches: usize,
-            batch_rows: usize,
-        }
-        let (root, morsel_rows) = (&self.root, self.morsel_rows);
-        let spill = Arc::clone(&self.counters.spill);
-        let seg = Arc::clone(&self.counters.seg);
-        let faults = self.counters.faults.clone();
-        let cancel = Arc::clone(&self.counters.cancel);
-        let workers_out = self
-            .pool
-            .fold_tasks(spec.morsels, WorkerOut::default, |w, idx| {
-                // Morsel boundary: a tripped token cancels the claim and
-                // (via the pool's abort flag) the sibling workers.
+        let root = &self.root;
+        let c = &self.counters;
+        let (spill, seg, faults, cancel) = (&c.spill, &c.seg, &c.faults, &c.cancel);
+        let workers = self.pool.fold_tasks(
+            spec.morsels,
+            || (init(), (0, 0)),
+            |(state, (batches, batch_rows)), idx| {
                 fault::rethrow(cancel.check());
                 let local = Counters::with_shared(
-                    Arc::clone(&spill),
-                    Arc::clone(&seg),
+                    Arc::clone(spill),
+                    Arc::clone(seg),
                     faults.clone(),
-                    Arc::clone(&cancel),
+                    Arc::clone(cancel),
                 );
-                let mut cur = root.morsel_cursor(idx, morsel_rows, &local);
-                let mut rows = Vec::new();
+                let morsel = Morsel {
+                    idx,
+                    rows: spec.morsel_rows,
+                };
+                let mut cur = root.cursor(Some(morsel), &local);
                 while let Some(b) = cur.next_batch() {
                     fault::rethrow(cancel.check());
                     local.batch(b.len());
-                    for pos in 0..b.len() {
-                        rows.push(b.row(pos));
-                    }
+                    fault::rethrow(fold(state, idx, &b));
                 }
                 let (b, r) = local.pull_batches.get();
-                w.batches += b;
-                w.batch_rows += r;
-                w.per_morsel.push((idx, rows));
-            });
-        let workers_out = match workers_out {
-            Ok(w) => w,
-            Err(e) => return Some(Err(e)),
-        };
-        // Gather: merge worker counters, then emit morsel outputs in
-        // morsel order.
-        self.counters.workers.set(workers_out.len());
-        let mut per_worker = self.worker_batches.borrow_mut();
-        per_worker.clear();
-        let (mut tb, mut tr) = (0, 0);
-        let mut slots: Vec<Option<Vec<Row>>> = (0..spec.morsels).map(|_| None).collect();
-        for w in workers_out {
-            per_worker.push((w.batches, w.batch_rows));
-            tb += w.batches;
-            tr += w.batch_rows;
-            for (idx, rows) in w.per_morsel {
-                slots[idx] = Some(rows);
-            }
-        }
-        self.counters.pull_batches.set((tb, tr));
-        let gathered = slots.into_iter().map(|s| s.expect("every morsel ran"));
-        let mut out = Vec::new();
-        if spec.dedup {
-            // Replay the deferred seen-set: first occurrence in morsel
-            // order wins, exactly as the serial seen-set would decide.
-            // The replay set holds (a copy of) the distinct output and
-            // has no spill path of its own — it is *charged* so
-            // `peak_tracked_bytes` reports it honestly (see ROADMAP:
-            // spilling the gather replay is an open follow-on).
-            let budget = self.counters.spill.budget();
-            let mut replay_bytes = 0usize;
-            let mut seen: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
-            for rows in gathered {
-                for row in rows {
-                    let bucket = seen.entry(row_hash(&row)).or_default();
-                    if bucket.contains(&row) {
-                        continue;
-                    }
-                    if budget.enabled() {
-                        let fp = row_footprint(&row);
-                        budget.charge(fp);
-                        replay_bytes += fp;
-                    }
-                    bucket.push(row.clone());
-                    self.counters.rows(1);
-                    out.push(row);
+                *batches += b;
+                *batch_rows += r;
+            },
+        )?;
+        let per_worker: Vec<(usize, usize)> = workers.iter().map(|(_, counts)| *counts).collect();
+        self.counters.workers.set(per_worker.len());
+        self.counters.pull_batches.set(
+            per_worker
+                .iter()
+                .fold((0, 0), |(b, r), &(wb, wr)| (b + wb, r + wr)),
+        );
+        *self.worker_batches.borrow_mut() = per_worker;
+        Ok(workers.into_iter().map(|(state, _)| state).collect())
+    }
+
+    /// Morsel-parallel materialization of the root pipeline: each worker
+    /// keeps `(morsel id, rows)` pairs, and the gather places them in
+    /// morsel order — replaying deferred seen-set semantics on the
+    /// ordered stream — so the result is byte-identical to a serial
+    /// pull.
+    fn parallel_rows(&self, spec: &ParallelSpec) -> Result<Vec<Row>> {
+        let per_worker = self.drive_morsels(
+            spec,
+            Vec::new,
+            |out: &mut Vec<(usize, Vec<Row>)>, idx, b| {
+                if out.last().is_none_or(|(last, _)| *last != idx) {
+                    out.push((idx, Vec::new()));
                 }
-            }
-            budget.release(replay_bytes);
-        } else {
-            for rows in gathered {
-                out.extend(rows);
-            }
+                let (_, rows) = out.last_mut().expect("slot just pushed");
+                rows.extend((0..b.len()).map(|pos| b.row(pos)));
+                Ok(())
+            },
+        )?;
+        // A morsel that emitted nothing keeps its empty slot.
+        let mut slots: Vec<Vec<Row>> = vec![Vec::new(); spec.morsels];
+        for (idx, rows) in per_worker.into_iter().flatten() {
+            slots[idx] = rows;
         }
-        Some(Ok(out))
+        let gathered = slots.into_iter().flatten();
+        if !spec.dedup {
+            return Ok(gathered.collect());
+        }
+        // Replay the deferred seen-set: first occurrence in morsel order
+        // wins, exactly as the serial seen-set would decide. The replay
+        // set holds (a copy of) the distinct output and has no spill
+        // path of its own — it is *charged* so `peak_tracked_bytes`
+        // reports it honestly (see ROADMAP: spilling the gather replay
+        // is an open follow-on).
+        let budget = self.counters.spill.budget();
+        let mut replay_bytes = 0usize;
+        let mut seen: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
+        let mut out = Vec::new();
+        for row in gathered {
+            let bucket = seen.entry(row_hash(&row)).or_default();
+            if bucket.contains(&row) {
+                continue;
+            }
+            if budget.enabled() {
+                let fp = row_footprint(&row);
+                budget.charge(fp);
+                replay_bytes += fp;
+            }
+            bucket.push(row.clone());
+            self.counters.rows(1);
+            out.push(row);
+        }
+        budget.release(replay_bytes);
+        Ok(out)
     }
 
     /// Morsel-parallel fold over the root pipeline's batches: each
@@ -677,75 +684,8 @@ impl Streamed {
         I: Fn() -> T + Sync,
         F: Fn(&mut T, usize, &ColumnBatch<'_>) -> Result<()> + Sync,
     {
-        let spec = self.parallel.as_ref()?;
-        if spec.dedup {
-            return None;
-        }
-        self.counters.reset_pull();
-        let (root, morsel_rows) = (&self.root, self.morsel_rows);
-        let spill = Arc::clone(&self.counters.spill);
-        let seg = Arc::clone(&self.counters.seg);
-        let faults = self.counters.faults.clone();
-        let cancel = Arc::clone(&self.counters.cancel);
-        struct WorkerFold<T> {
-            state: T,
-            err: Option<Error>,
-            batches: usize,
-            batch_rows: usize,
-        }
-        let workers_out = self.pool.fold_tasks(
-            spec.morsels,
-            || WorkerFold {
-                state: init(),
-                err: None,
-                batches: 0,
-                batch_rows: 0,
-            },
-            |w, idx| {
-                if w.err.is_some() {
-                    return;
-                }
-                if let Err(e) = cancel.check() {
-                    w.err = Some(e);
-                    return;
-                }
-                let local = Counters::with_shared(
-                    Arc::clone(&spill),
-                    Arc::clone(&seg),
-                    faults.clone(),
-                    Arc::clone(&cancel),
-                );
-                let mut cur = root.morsel_cursor(idx, morsel_rows, &local);
-                while let Some(b) = cur.next_batch() {
-                    w.batches += 1;
-                    w.batch_rows += b.len();
-                    if let Err(e) = cancel.check().and_then(|()| fold(&mut w.state, idx, &b)) {
-                        w.err = Some(e);
-                        return;
-                    }
-                }
-            },
-        );
-        let workers_out = match workers_out {
-            Ok(w) => w,
-            Err(e) => return Some(Err(e)),
-        };
-        self.counters.workers.set(workers_out.len());
-        let mut per_worker = self.worker_batches.borrow_mut();
-        per_worker.clear();
-        let (mut tb, mut tr) = (0, 0);
-        let mut states = Vec::with_capacity(workers_out.len());
-        for w in workers_out {
-            per_worker.push((w.batches, w.batch_rows));
-            tb += w.batches;
-            tr += w.batch_rows;
-            if let Some(e) = w.err {
-                return Some(Err(e));
-            }
-            states.push(w.state);
-        }
-        self.counters.pull_batches.set((tb, tr));
-        Some(Ok(states))
+        let spec = self.parallel.as_ref().filter(|spec| !spec.dedup)?;
+        Some(self.drive_morsels(spec, init, fold))
     }
 
     /// Materialize the full result. When the plan bottoms out in an
@@ -762,7 +702,7 @@ impl Streamed {
 
     /// This execution's cancellation token. `cancel()` it from any
     /// thread (or configure a deadline via
-    /// [`crate::Catalog::set_deadline`] / `RELALG_DEADLINE_MS`) and
+    /// [`crate::Catalog::set_deadline`]) and
     /// in-flight pulls stop at their next batch or morsel boundary with
     /// [`Error::Cancelled`], unwinding through breakers so buffer-pool
     /// leases and spill files release on the way out.
@@ -900,14 +840,21 @@ enum Node {
     NestedLoop(NestedLoopNode),
     /// Semi/antijoin: streams the left, buffers the right.
     Semi(SemiNode),
-    /// Bag union: streams left then right (no buffering).
-    Concat { left: Box<Node>, right: Box<Node> },
-    /// Duplicate elimination: streams first occurrences, buffers a
-    /// seen-set.
-    Distinct { input: Box<Node> },
-    /// Set difference (EXCEPT): buffers the right side + a seen-set,
-    /// streams surviving left rows.
-    Difference(DifferenceNode),
+    /// Bag union: streams left then right (no buffering). A parallel
+    /// pull routes morsel ids below `left_morsels` to the left child.
+    Concat {
+        left: Box<Node>,
+        right: Box<Node>,
+        left_morsels: usize,
+    },
+    /// The seen-set operator: streams first occurrences, buffering a
+    /// seen-set. Without `except` it is duplicate elimination; with it,
+    /// set difference (EXCEPT): rows of the buffered right side are
+    /// dropped before the seen-set test.
+    Distinct {
+        input: Box<Node>,
+        except: Option<Except>,
+    },
 }
 
 /// A hash table from key digest to row indices, split into digest-routed
@@ -961,11 +908,22 @@ impl RowTable {
     }
 }
 
-struct DifferenceNode {
-    input: Box<Node>,
+/// The right side of a set difference: the materialized relation plus
+/// its full-row digest → row indices membership table.
+struct Except {
     right: Arc<Relation>,
-    /// Full-row digest → right-side row indices (membership table).
     table: RowTable,
+}
+
+impl Except {
+    /// Does batch row `pos` (full-row digest `digest`) occur on the
+    /// right side?
+    fn contains(&self, b: &ColumnBatch<'_>, pos: usize, digest: u64) -> bool {
+        self.table.get(digest).is_some_and(|is| {
+            is.iter()
+                .any(|&i| batch_row_eq(b, pos, &self.right.rows()[i]))
+        })
+    }
 }
 
 struct HashJoinNode {
@@ -1228,53 +1186,50 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
         Plan::Union { left, right } => {
             let (lnode, ls) = prepare(left, ctx)?;
             let (rnode, rs) = prepare(right, ctx)?;
-            if !ls.compatible(&rs) {
-                return Err(Error::SchemaMismatch {
-                    left: ls.to_string(),
-                    right: rs.to_string(),
-                });
-            }
+            check_compatible(&ls, &rs)?;
             // Union output keeps the left schema (see Plan::schema).
             Ok((
                 Node::Concat {
                     left: Box::new(lnode),
                     right: Box::new(rnode),
+                    left_morsels: plan_morsel_count(left, catalog, est, ctx.cfg.morsel_rows),
                 },
                 ls,
             ))
         }
-        Plan::Difference { left, right } => {
-            let (lnode, ls) = prepare(left, ctx)?;
-            let (rnode, rs) = prepare(right, ctx)?;
-            if !ls.compatible(&rs) {
-                return Err(Error::SchemaMismatch {
-                    left: ls.to_string(),
-                    right: rs.to_string(),
-                });
-            }
-            let right_rel = materialize(rnode, &rs, counters)?;
-            let table = build_table(&right_rel, &[], ctx)?;
-            counters.breaker(); // the seen-set filled at pull time
-            Ok((
-                Node::Difference(DifferenceNode {
-                    input: Box::new(lnode),
-                    right: right_rel,
-                    table,
-                }),
-                ls,
-            ))
-        }
-        Plan::Distinct(input) => {
+        Plan::Distinct(input) | Plan::Difference { left: input, .. } => {
             let (node, schema) = prepare(input, ctx)?;
+            let except = match plan {
+                Plan::Difference { right, .. } => {
+                    let (rnode, rs) = prepare(right, ctx)?;
+                    check_compatible(&schema, &rs)?;
+                    let right = materialize(rnode, &rs, counters)?;
+                    let table = build_table(&right, &[], ctx)?;
+                    Some(Except { right, table })
+                }
+                _ => None,
+            };
             counters.breaker(); // the seen-set filled at pull time
             Ok((
                 Node::Distinct {
                     input: Box::new(node),
+                    except,
                 },
                 schema,
             ))
         }
     }
+}
+
+/// Set operations need union-compatible inputs.
+fn check_compatible(left: &Schema, right: &Schema) -> Result<()> {
+    if left.compatible(right) {
+        return Ok(());
+    }
+    Err(Error::SchemaMismatch {
+        left: left.to_string(),
+        right: right.to_string(),
+    })
 }
 
 /// Run a breaker-side node to completion. An already-materialized source
@@ -1289,7 +1244,7 @@ fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<R
         return Ok(src.rel);
     }
     let mut rows = Vec::new();
-    let mut cur = node.batch_cursor(counters);
+    let mut cur = node.cursor(None, counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
         rows.extend((0..b.len()).map(|pos| b.row(pos)));
@@ -1373,7 +1328,7 @@ fn prepare_join_build(
         }
         Ok(())
     };
-    let mut cur = node.batch_cursor(counters);
+    let mut cur = node.cursor(None, counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
         for pos in 0..b.len() {
@@ -1469,31 +1424,63 @@ pub fn predicted_buffers(plan: &Plan, catalog: &Catalog) -> usize {
 
 /// The worker count the morsel-driven executor will fan `plan` out over
 /// (1 = serial) — the number EXPLAIN prints as `[parallel xN]` and
-/// [`ExecStats::workers`] reports after a full pull. Mirrors the
-/// prepare-time decision: the catalog's [`EngineConfig`] thread cap, the
-/// morsel count of the probe spine's source, the optimizer row estimate
-/// against the parallel threshold, and gather-safety of stateful
-/// operators.
+/// [`ExecStats::workers`] reports after a full pull. The decision is
+/// [`parallel_spec`], the one [`stream`] makes at prepare time.
 pub fn predicted_workers(plan: &Plan, catalog: &Catalog) -> usize {
-    let cfg = catalog.config();
-    if cfg.threads <= 1
-        || plan.schema(catalog).is_err()
-        || est_rows(plan, catalog) < cfg.parallel_min_rows as f64
-        || plan_parallel_dedup(plan, catalog, false).is_none()
-    {
+    if plan.schema(catalog).is_err() {
         return 1;
     }
-    let morsels = plan_morsel_count(plan, catalog, cfg.morsel_rows);
-    if morsels > 1 {
-        cfg.threads.min(morsels)
+    parallel_spec(plan, catalog, &EstCache::default()).map_or(1, |spec| {
+        TaskPool::new(catalog.config().threads).workers_for(spec.morsels)
+    })
+}
+
+/// The parallel decision: enough configured workers, more than one
+/// morsel on the probe spine, a gather-safe operator tree, and an
+/// optimizer estimate (memoized in `est`) at or above the threshold —
+/// below it the exchange overhead outweighs the parallel win. `None`
+/// means serial.
+fn parallel_spec(plan: &Plan, catalog: &Catalog, est: &EstCache) -> Option<ParallelSpec> {
+    let cfg = catalog.config();
+    if cfg.threads <= 1 {
+        return None;
+    }
+    let dedup = plan_parallel_dedup(plan, catalog, est, false)?;
+    let morsels = plan_morsel_count(plan, catalog, est, cfg.morsel_rows);
+    (morsels > 1 && est_rows_cached(plan, catalog, est) >= cfg.parallel_min_rows as f64).then_some(
+        ParallelSpec {
+            morsels,
+            morsel_rows: cfg.morsel_rows,
+            dedup,
+        },
+    )
+}
+
+/// The input a join streams: theta joins stream the left as the outer;
+/// hash joins stream whichever side [`join_build_left`] does not buffer.
+fn join_probe<'p>(
+    left: &'p Plan,
+    right: &'p Plan,
+    pred: &Expr,
+    catalog: &Catalog,
+    est: &EstCache,
+) -> &'p Plan {
+    let (ls, rs) = (
+        shape_cached(left, catalog, est),
+        shape_cached(right, catalog, est),
+    );
+    let equi = !JoinCondition::analyze(pred, &ls, &rs).equi.is_empty();
+    if equi && join_build_left_with(left, right, catalog, est) {
+        right
     } else {
-        1
+        left
     }
 }
 
-/// Static mirror of [`Node::morsel_count`] on the logical plan: the
-/// morsel count of the source at the bottom of the probe spine.
-fn plan_morsel_count(plan: &Plan, catalog: &Catalog, morsel_rows: usize) -> usize {
+/// The morsel count of the source at the bottom of the probe spine (a
+/// union owns the morsels of both children, left first).
+fn plan_morsel_count(plan: &Plan, catalog: &Catalog, est: &EstCache, morsel_rows: usize) -> usize {
+    let count = |p: &Plan| plan_morsel_count(p, catalog, est, morsel_rows);
     match plan {
         // Arithmetic on the row count (not via the columnar image) so
         // counting morsels never forces the plain image under segmented
@@ -1506,75 +1493,56 @@ fn plan_morsel_count(plan: &Plan, catalog: &Catalog, morsel_rows: usize) -> usiz
         Plan::Select { input, .. }
         | Plan::Project { input, .. }
         | Plan::Rename { input, .. }
-        | Plan::Distinct(input) => plan_morsel_count(input, catalog, morsel_rows),
-        Plan::Union { left, right } => {
-            plan_morsel_count(left, catalog, morsel_rows)
-                + plan_morsel_count(right, catalog, morsel_rows)
-        }
+        | Plan::Distinct(input) => count(input),
+        Plan::Union { left, right } => count(left) + count(right),
         Plan::Difference { left, .. }
         | Plan::SemiJoin { left, .. }
-        | Plan::AntiJoin { left, .. } => plan_morsel_count(left, catalog, morsel_rows),
-        Plan::Join { left, right, pred } => {
-            let (Ok(ls), Ok(rs)) = (left.schema(catalog), right.schema(catalog)) else {
-                return 0;
-            };
-            let cond = JoinCondition::analyze(pred, &ls, &rs);
-            // Theta joins stream the left as the outer; hash joins stream
-            // whichever side `join_build_left` does not buffer.
-            let probe = if cond.equi.is_empty() {
-                left
-            } else if join_build_left(left, right, catalog) {
-                right
-            } else {
-                left
-            };
-            plan_morsel_count(probe, catalog, morsel_rows)
-        }
+        | Plan::AntiJoin { left, .. } => count(left),
+        Plan::Join { left, right, pred } => count(join_probe(left, right, pred, catalog, est)),
     }
 }
 
-/// Static mirror of [`Node::parallel_dedup`] on the logical plan.
-fn plan_parallel_dedup(plan: &Plan, catalog: &Catalog, transformed: bool) -> Option<bool> {
+/// Can this pipeline run morsel-parallel with a deterministic gather?
+/// Returns the gather's dedup requirement — `true` when seen-set
+/// semantics must be replayed on the gathered output — or `None` when
+/// a seen-set operator sits below a transforming one (its deferred
+/// dedup would see rewritten or legitimately duplicated rows) and the
+/// pipeline must stay serial.
+///
+/// `transformed` tracks whether an operator *above* the current node
+/// rewrites or duplicates row values: projections and joins do; σ, ρ
+/// and semijoins only drop or rename, which commutes with value-based
+/// dedup.
+fn plan_parallel_dedup(
+    plan: &Plan,
+    catalog: &Catalog,
+    est: &EstCache,
+    transformed: bool,
+) -> Option<bool> {
+    let dedup = |p: &Plan, transformed| plan_parallel_dedup(p, catalog, est, transformed);
     match plan {
         Plan::Scan(_) | Plan::Values(_) => Some(false),
-        // σ and ρ neither transform nor duplicate row values; semijoins
-        // only drop left rows. All pass the flag through unchanged.
-        Plan::Select { input, .. } | Plan::Rename { input, .. } => {
-            plan_parallel_dedup(input, catalog, transformed)
-        }
-        Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } => {
-            plan_parallel_dedup(left, catalog, transformed)
-        }
-        Plan::Project { input, .. } => plan_parallel_dedup(input, catalog, true),
+        Plan::Select { input, .. } | Plan::Rename { input, .. } => dedup(input, transformed),
+        Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } => dedup(left, transformed),
+        Plan::Project { input, .. } => dedup(input, true),
         Plan::Join { left, right, pred } => {
-            let (Ok(ls), Ok(rs)) = (left.schema(catalog), right.schema(catalog)) else {
-                return None;
-            };
-            let cond = JoinCondition::analyze(pred, &ls, &rs);
-            let probe = if cond.equi.is_empty() || !join_build_left(left, right, catalog) {
-                left
-            } else {
-                right
-            };
-            plan_parallel_dedup(probe, catalog, true)
+            dedup(join_probe(left, right, pred, catalog, est), true)
         }
+        // Children own disjoint morsel ranges; a deferred dedup would
+        // leak across them, so children must be dedup-free (the `true`
+        // flag already rejects nested seen-set operators).
         Plan::Union { left, right } => {
-            plan_parallel_dedup(left, catalog, true)?;
-            plan_parallel_dedup(right, catalog, true)?;
+            dedup(left, true)?;
+            dedup(right, true)?;
             Some(false)
         }
-        Plan::Distinct(input) => {
+        // The except side's membership test is a stateless per-row
+        // filter; only the left-side seen-set defers.
+        Plan::Distinct(input) | Plan::Difference { left: input, .. } => {
             if transformed {
                 return None;
             }
-            plan_parallel_dedup(input, catalog, false)?;
-            Some(true)
-        }
-        Plan::Difference { left, .. } => {
-            if transformed {
-                return None;
-            }
-            plan_parallel_dedup(left, catalog, false)?;
+            dedup(input, false)?;
             Some(true)
         }
     }
@@ -1661,19 +1629,12 @@ enum BCursor<'a> {
         right: Box<BCursor<'a>>,
         on_right: bool,
     },
-    /// Duplicate elimination: digest seen-set, batch compacted to first
-    /// occurrences. Under a memory budget the seen-set can spill
-    /// (see [`DedupSpill`]).
+    /// The seen-set operator: rows on the `except` side (if any) are
+    /// dropped, the rest pass a digest seen-set, and the batch is
+    /// compacted to first occurrences. Under a memory budget the
+    /// seen-set can spill (see [`DedupSpill`]).
     Distinct {
-        input: Box<BCursor<'a>>,
-        seen: FxHashMap<u64, Vec<Row>>,
-        counters: &'a Counters,
-        spill: Option<Box<DedupSpill>>,
-    },
-    /// Set difference: membership test against the buffered right side
-    /// plus a digest seen-set (spillable like Distinct's).
-    Difference {
-        node: &'a DifferenceNode,
+        except: Option<&'a Except>,
         input: Box<BCursor<'a>>,
         seen: FxHashMap<u64, Vec<Row>>,
         counters: &'a Counters,
@@ -1697,7 +1658,7 @@ fn cmp_seq_idx(a: &Record, b: &Record) -> Ordering {
     (a.0[0], a.0[1]).cmp(&(b.0[0], b.0[1]))
 }
 
-/// Seen-set spill state of one distinct/difference cursor.
+/// Seen-set spill state of one seen-set cursor.
 ///
 /// While in memory, the cursor dedups through its digest seen-set and
 /// streams first occurrences online, charging retained rows against the
@@ -1864,6 +1825,13 @@ impl DedupSpill {
     }
 }
 
+/// One morsel of a parallel pull: morsel `idx` of `rows`-row morsels.
+#[derive(Clone, Copy)]
+struct Morsel {
+    idx: usize,
+    rows: usize,
+}
+
 impl Node {
     /// Does any hash join in this tree hold a spilled build side? Such
     /// trees run serial: every morsel cursor would re-drain and
@@ -1871,123 +1839,49 @@ impl Node {
     fn any_spilled_build(&self) -> bool {
         match self {
             Node::Source(_) => false,
-            Node::Filter { input, .. } | Node::Project { input, .. } | Node::Distinct { input } => {
-                input.any_spilled_build()
-            }
+            Node::Filter { input, .. }
+            | Node::Project { input, .. }
+            | Node::Distinct { input, .. } => input.any_spilled_build(),
             Node::HashJoin(n) => {
                 matches!(n.build, JoinBuild::Spilled(_)) || n.probe.any_spilled_build()
             }
             Node::Semi(n) => n.probe.any_spilled_build(),
             Node::NestedLoop(n) => n.outer.any_spilled_build(),
-            Node::Concat { left, right } => left.any_spilled_build() || right.any_spilled_build(),
-            Node::Difference(n) => n.input.any_spilled_build(),
-        }
-    }
-
-    /// Build the batched cursor tree.
-    fn batch_cursor<'a>(&'a self, counters: &'a Counters) -> BCursor<'a> {
-        match self {
-            Node::Source(src) => src.batch_cursor(0, src.rel.len(), counters),
-            Node::Filter { input, preds } => BCursor::Filter {
-                input: Box::new(input.batch_cursor(counters)),
-                preds,
-            },
-            Node::Project { input, exprs } => BCursor::Project {
-                input: Box::new(input.batch_cursor(counters)),
-                exprs,
-            },
-            Node::HashJoin(node) => match &node.build {
-                JoinBuild::Mem { rel, table } => BCursor::HashJoin {
-                    node,
-                    rel,
-                    table,
-                    probe: Box::new(node.probe.batch_cursor(counters)),
-                },
-                JoinBuild::Spilled(spilled) => BCursor::HashJoinSpilled {
-                    node,
-                    spilled,
-                    probe: Box::new(node.probe.batch_cursor(counters)),
-                    state: SpillJoinState::Drain,
-                    counters,
-                },
-            },
-            Node::Semi(node) => BCursor::Semi {
-                node,
-                probe: Box::new(node.probe.batch_cursor(counters)),
-            },
-            Node::NestedLoop(node) => BCursor::NestedLoop {
-                node,
-                outer: Box::new(node.outer.batch_cursor(counters)),
-                pending: None,
-            },
-            Node::Concat { left, right } => BCursor::Concat {
-                left: Box::new(left.batch_cursor(counters)),
-                right: Box::new(right.batch_cursor(counters)),
-                on_right: false,
-            },
-            Node::Distinct { input } => BCursor::Distinct {
-                input: Box::new(input.batch_cursor(counters)),
-                seen: FxHashMap::default(),
-                counters,
-                spill: DedupSpill::maybe(counters),
-            },
-            Node::Difference(node) => BCursor::Difference {
-                node,
-                input: Box::new(node.input.batch_cursor(counters)),
-                seen: FxHashMap::default(),
-                counters,
-                spill: DedupSpill::maybe(counters),
-            },
-        }
-    }
-
-    /// How many morsels the source at the bottom of this pipeline's
-    /// probe spine splits into (a union pipeline owns the morsels of
-    /// both children, left first).
-    fn morsel_count(&self, morsel_rows: usize) -> usize {
-        match self {
-            // Arithmetic (not via the columnar image) so segmented
-            // execution never forces the plain image into existence;
-            // the formula matches `ColumnarImage::morsel_count`.
-            Node::Source(src) => src.rel.len().div_ceil(morsel_rows.max(1)),
-            Node::Filter { input, .. } | Node::Project { input, .. } | Node::Distinct { input } => {
-                input.morsel_count(morsel_rows)
+            Node::Concat { left, right, .. } => {
+                left.any_spilled_build() || right.any_spilled_build()
             }
-            Node::HashJoin(n) => n.probe.morsel_count(morsel_rows),
-            Node::Semi(n) => n.probe.morsel_count(morsel_rows),
-            Node::NestedLoop(n) => n.outer.morsel_count(morsel_rows),
-            Node::Concat { left, right } => {
-                left.morsel_count(morsel_rows) + right.morsel_count(morsel_rows)
-            }
-            Node::Difference(n) => n.input.morsel_count(morsel_rows),
         }
     }
 
-    /// Build the batched cursor tree restricted to morsel `idx`: the
-    /// spine's source scans only that morsel's row range, and stateful
-    /// operators (distinct / difference seen-sets) keep *morsel-local*
-    /// partial seen-sets — the gather replays their global semantics on
-    /// the morsel-ordered output (see [`Streamed::parallel_rows`]).
-    fn morsel_cursor<'a>(
-        &'a self,
-        idx: usize,
-        morsel_rows: usize,
-        counters: &'a Counters,
-    ) -> BCursor<'a> {
+    /// Build the batched cursor tree over the whole input (`morsel`
+    /// `None`), or restricted to one morsel: the spine's source then
+    /// scans only that morsel's row range, a union routes the morsel
+    /// to the child owning it, and seen-set operators keep
+    /// *morsel-local* partial seen-sets — the gather replays their
+    /// global semantics on the morsel-ordered output (see
+    /// [`Streamed::parallel_rows`]).
+    fn cursor<'a>(&'a self, morsel: Option<Morsel>, counters: &'a Counters) -> BCursor<'a> {
+        let child = |node: &'a Node| Box::new(node.cursor(morsel, counters));
         match self {
             Node::Source(src) => {
-                // Same bounds arithmetic as `ColumnarImage::morsel_bounds`.
-                let morsel_rows = morsel_rows.max(1);
-                let start = (idx * morsel_rows).min(src.rel.len());
-                let end = (start + morsel_rows).min(src.rel.len());
+                let len = src.rel.len();
+                let (start, end) = match morsel {
+                    None => (0, len),
+                    // Same bounds arithmetic as `ColumnarImage::morsel_bounds`.
+                    Some(m) => {
+                        let rows = m.rows.max(1);
+                        let start = (m.idx * rows).min(len);
+                        (start, (start + rows).min(len))
+                    }
+                };
                 src.batch_cursor(start, end, counters)
             }
             Node::Filter { input, preds } => BCursor::Filter {
-                input: Box::new(input.morsel_cursor(idx, morsel_rows, counters)),
+                input: child(input),
                 preds,
             },
             Node::Project { input, exprs } => BCursor::Project {
-                input: Box::new(input.morsel_cursor(idx, morsel_rows, counters)),
+                input: child(input),
                 exprs,
             },
             Node::HashJoin(node) => match &node.build {
@@ -1995,100 +1889,58 @@ impl Node {
                     node,
                     rel,
                     table,
-                    probe: Box::new(node.probe.morsel_cursor(idx, morsel_rows, counters)),
+                    probe: child(&node.probe),
                 },
-                // Reachable only defensively: a spilled build forces
-                // serial pulls at prepare time (see `stream`). Each
-                // morsel would drain and probe its own partitions —
-                // correct, but the build-partition I/O multiplies by
-                // the morsel count.
+                // A spilled build forces serial pulls at prepare time
+                // (see `stream`), so this only ever runs over the whole
+                // input.
                 JoinBuild::Spilled(spilled) => BCursor::HashJoinSpilled {
                     node,
                     spilled,
-                    probe: Box::new(node.probe.morsel_cursor(idx, morsel_rows, counters)),
+                    probe: child(&node.probe),
                     state: SpillJoinState::Drain,
                     counters,
                 },
             },
             Node::Semi(node) => BCursor::Semi {
                 node,
-                probe: Box::new(node.probe.morsel_cursor(idx, morsel_rows, counters)),
+                probe: child(&node.probe),
             },
             Node::NestedLoop(node) => BCursor::NestedLoop {
                 node,
-                outer: Box::new(node.outer.morsel_cursor(idx, morsel_rows, counters)),
+                outer: child(&node.outer),
                 pending: None,
             },
-            // A morsel lies entirely within one union child: the Concat
-            // node disappears and the morsel id routes (left ids first —
-            // gather order equals serial left-then-right order).
-            Node::Concat { left, right } => {
-                let ln = left.morsel_count(morsel_rows);
-                if idx < ln {
-                    left.morsel_cursor(idx, morsel_rows, counters)
-                } else {
-                    right.morsel_cursor(idx - ln, morsel_rows, counters)
-                }
-            }
-            Node::Distinct { input } => BCursor::Distinct {
-                input: Box::new(input.morsel_cursor(idx, morsel_rows, counters)),
+            Node::Concat {
+                left,
+                right,
+                left_morsels,
+            } => match morsel {
+                None => BCursor::Concat {
+                    left: child(left),
+                    right: child(right),
+                    on_right: false,
+                },
+                // A morsel lies entirely within one union child: the
+                // Concat node disappears and the morsel id routes (left
+                // ids first — gather order equals serial left-then-right
+                // order).
+                Some(m) if m.idx < *left_morsels => left.cursor(morsel, counters),
+                Some(m) => right.cursor(
+                    Some(Morsel {
+                        idx: m.idx - left_morsels,
+                        ..m
+                    }),
+                    counters,
+                ),
+            },
+            Node::Distinct { input, except } => BCursor::Distinct {
+                except: except.as_ref(),
+                input: child(input),
                 seen: FxHashMap::default(),
                 counters,
                 spill: DedupSpill::maybe(counters),
             },
-            Node::Difference(node) => BCursor::Difference {
-                node,
-                input: Box::new(node.input.morsel_cursor(idx, morsel_rows, counters)),
-                seen: FxHashMap::default(),
-                counters,
-                spill: DedupSpill::maybe(counters),
-            },
-        }
-    }
-
-    /// Can this pipeline run morsel-parallel with a deterministic
-    /// gather? Returns the gather's dedup requirement — `true` when
-    /// distinct/difference seen-set semantics must be replayed on the
-    /// gathered output — or `None` when a stateful operator sits below a
-    /// transforming one (its deferred dedup would see rewritten or
-    /// legitimately duplicated rows) and the pipeline must stay serial.
-    ///
-    /// `transformed` tracks whether an operator *above* the current node
-    /// rewrites or duplicates row values: projections and both join
-    /// kinds do; filters and semijoins only drop rows, which commutes
-    /// with value-based dedup.
-    fn parallel_dedup(&self, transformed: bool) -> Option<bool> {
-        match self {
-            Node::Source(_) => Some(false),
-            Node::Filter { input, .. } => input.parallel_dedup(transformed),
-            Node::Semi(n) => n.probe.parallel_dedup(transformed),
-            Node::Project { input, .. } => input.parallel_dedup(true),
-            Node::HashJoin(n) => n.probe.parallel_dedup(true),
-            Node::NestedLoop(n) => n.outer.parallel_dedup(true),
-            // Children own disjoint morsel ranges; a deferred dedup
-            // would leak across them, so children must be dedup-free
-            // (the `true` flag already rejects nested stateful nodes).
-            Node::Concat { left, right } => {
-                left.parallel_dedup(true)?;
-                right.parallel_dedup(true)?;
-                Some(false)
-            }
-            Node::Distinct { input } => {
-                if transformed {
-                    return None;
-                }
-                input.parallel_dedup(false)?;
-                Some(true)
-            }
-            Node::Difference(n) => {
-                // The right-membership test is a stateless per-row
-                // filter; only the left-side seen-set defers.
-                if transformed {
-                    return None;
-                }
-                n.input.parallel_dedup(false)?;
-                Some(true)
-            }
         }
     }
 }
@@ -2382,6 +2234,7 @@ impl<'a> BCursor<'a> {
                 right.next_batch()
             }
             BCursor::Distinct {
+                except,
                 input,
                 seen,
                 counters,
@@ -2402,6 +2255,11 @@ impl<'a> BCursor<'a> {
                 let mut any = false;
                 for (pos, k) in keep.iter_mut().enumerate() {
                     let digest = batch_row_hash(&b, pos);
+                    // The except-side membership test is stateless and
+                    // runs in both phases.
+                    if except.is_some_and(|x| x.contains(&b, pos, digest)) {
+                        continue;
+                    }
                     if let Some(sp) = spill.as_deref_mut() {
                         if sp.spilling {
                             // Candidate phase: nothing emits online (the
@@ -2426,67 +2284,6 @@ impl<'a> BCursor<'a> {
                         // The seen-set crossed its share: flush it (its
                         // rows are already emitted) and stop emitting
                         // online from the next row on.
-                        spill
-                            .as_deref_mut()
-                            .expect("over implies spill state")
-                            .flush_seen(&counters.spill, seen);
-                    }
-                }
-                if any {
-                    b.compact(&keep);
-                    return Some(b);
-                }
-            },
-            BCursor::Difference {
-                node,
-                input,
-                seen,
-                counters,
-                spill,
-            } => loop {
-                if let Some(batch) = dedup_emit_winners(spill, counters) {
-                    return batch;
-                }
-                let Some(mut b) = input.next_batch() else {
-                    let sp = spill.as_deref_mut()?;
-                    if !sp.spilling {
-                        return None;
-                    }
-                    sp.resolve(&counters.spill, counters);
-                    continue;
-                };
-                let mut keep = vec![false; b.len()];
-                let mut any = false;
-                for (pos, k) in keep.iter_mut().enumerate() {
-                    let digest = batch_row_hash(&b, pos);
-                    // The right-membership test is stateless and runs in
-                    // both phases.
-                    let in_right = node.table.get(digest).is_some_and(|is| {
-                        is.iter()
-                            .any(|&i| batch_row_eq(&b, pos, &node.right.rows()[i]))
-                    });
-                    if in_right {
-                        continue;
-                    }
-                    if let Some(sp) = spill.as_deref_mut() {
-                        if sp.spilling {
-                            sp.push_candidate(&counters.spill, digest, b.row(pos));
-                            continue;
-                        }
-                    }
-                    let bucket = seen.entry(digest).or_default();
-                    if bucket.iter().any(|row| batch_row_eq(&b, pos, row)) {
-                        continue;
-                    }
-                    let row = b.row(pos);
-                    let over = spill
-                        .as_deref_mut()
-                        .is_some_and(|sp| sp.charge(&counters.spill, &row));
-                    bucket.push(row);
-                    counters.rows(1);
-                    *k = true;
-                    any = true;
-                    if over {
                         spill
                             .as_deref_mut()
                             .expect("over implies spill state")
@@ -3006,12 +2803,7 @@ fn ref_exec(plan: &Plan, catalog: &Catalog) -> Result<Relation> {
         Plan::Union { left, right } => {
             let l = ref_exec(left, catalog)?;
             let r = ref_exec(right, catalog)?;
-            if !l.schema().compatible(r.schema()) {
-                return Err(Error::SchemaMismatch {
-                    left: l.schema().to_string(),
-                    right: r.schema().to_string(),
-                });
-            }
+            check_compatible(l.schema(), r.schema())?;
             let schema = l.schema().clone();
             let mut rows = l.into_rows();
             rows.extend(r.into_rows());
@@ -3020,12 +2812,7 @@ fn ref_exec(plan: &Plan, catalog: &Catalog) -> Result<Relation> {
         Plan::Difference { left, right } => {
             let l = ref_exec(left, catalog)?;
             let r = ref_exec(right, catalog)?;
-            if !l.schema().compatible(r.schema()) {
-                return Err(Error::SchemaMismatch {
-                    left: l.schema().to_string(),
-                    right: r.schema().to_string(),
-                });
-            }
+            check_compatible(l.schema(), r.schema())?;
             let right_set: FxHashSet<&Row> = r.rows().iter().collect();
             let mut seen: FxHashSet<&Row> = FxHashSet::default();
             let mut rows = Vec::new();
@@ -3681,9 +3468,16 @@ mod tests {
     /// Plans covering every morsel-parallelizable shape: scan, σ/π
     /// chains, hash-join probes with residuals, semi/antijoins (keyed,
     /// residual, and theta), nested loops, unions, distinct and
-    /// difference at the root.
+    /// difference at the root — plus a union whose left filter empties
+    /// whole morsels, alone and under a difference, so the gather sees
+    /// morsels that emit nothing.
     fn parallel_plans() -> Vec<Plan> {
+        let sparse_union = Plan::scan("fact")
+            .select(col("k").ge(lit_i64(2 * BATCH_SIZE as i64)))
+            .union(Plan::scan("fact").select(col("g").eq(lit_i64(1))));
         vec![
+            sparse_union.clone(),
+            sparse_union.difference(Plan::scan("fact").select(col("k").lt(lit_i64(10)))),
             Plan::scan("fact"),
             Plan::scan("fact")
                 .select(col("tag").eq(lit_str("even")))
@@ -3734,7 +3528,7 @@ mod tests {
                 let b = s_par.collect_rows(None).unwrap();
                 assert_eq!(a, b, "parallel output differs for {p:?}");
                 // The parallel run reports its worker fan-out, matching
-                // both the prepared plan and the static mirror.
+                // both the prepared plan and EXPLAIN's prediction.
                 let workers = s_par.planned_workers();
                 assert_eq!(s_par.stats().workers, workers, "{p:?}");
                 assert_eq!(predicted_workers(&p, &par), workers, "{p:?}");

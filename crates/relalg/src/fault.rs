@@ -24,7 +24,8 @@
 //! * [`CancelToken`] — cooperative cancellation checked at batch and
 //!   morsel boundaries. A token trips either explicitly
 //!   ([`CancelToken::cancel`]) or by deadline
-//!   (`RELALG_DEADLINE_MS` / [`crate::Catalog::set_deadline`]); the
+//!   ([`crate::Catalog::set_deadline`]; the session server arms it
+//!   per request from `RELALG_DEADLINE_MS`); the
 //!   executing query unwinds through its breakers, releasing buffer
 //!   pool slots and dropping spill directories, and returns
 //!   [`Error::Cancelled`].

@@ -1,6 +1,6 @@
 //! Heuristic + cost-based plan optimization.
 //!
-//! Three passes, in the spirit of what PostgreSQL did for the paper's
+//! Five passes, in the spirit of what PostgreSQL did for the paper's
 //! translated queries (Section 6: "due to the simplicity of our rewritings,
 //! PostgreSQL optimizes the queries in a fairly good way"):
 //!
@@ -26,6 +26,9 @@
 //!    streaming executor every `Distinct` is a pipeline breaker with a
 //!    seen-set buffer, so dropping redundant ones removes real
 //!    materializations, not just plan noise.
+//! 5. **Projection folding** — a column-only projection directly over
+//!    another projection folds into it, collapsing the stacks pruning
+//!    leaves behind.
 
 use crate::catalog::Catalog;
 use crate::error::Result;
@@ -34,8 +37,9 @@ use crate::plan::Plan;
 use crate::schema::{ColRef, Schema};
 use std::collections::BTreeSet;
 
-/// Optimize a plan: pushdown, reorder, prune. The result is equivalent
-/// (same bag of tuples up to row order) and usually much faster.
+/// Optimize a plan: pushdown, reorder, prune, strip, fold. The result
+/// is equivalent (same bag of tuples up to row order) and usually much
+/// faster.
 pub fn optimize(plan: &Plan, catalog: &Catalog) -> Result<Plan> {
     // Validate input while we are at it: schema() errors early.
     plan.schema(catalog)?;
@@ -43,6 +47,7 @@ pub fn optimize(plan: &Plan, catalog: &Catalog) -> Result<Plan> {
     let p = reorder_joins(p, catalog);
     let p = prune_projections(p, catalog, None);
     let p = strip_redundant_distinct(p, false);
+    let p = fold_projections(p);
     p.schema(catalog)?; // invariant: optimization preserves well-formedness
     Ok(p)
 }
@@ -75,36 +80,66 @@ fn strip_redundant_distinct(plan: Plan, deduped: bool) -> Plan {
         // Difference has set semantics on its own output and only tests
         // membership on the right: Distinct directly under either side
         // is redundant.
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(strip_redundant_distinct(*left, true)),
-            right: Box::new(strip_redundant_distinct(*right, true)),
-        },
+        diff @ Plan::Difference { .. } => diff.map_inputs(|p| strip_redundant_distinct(p, true)),
         // Everything else resets the flag for its children.
-        Plan::Project { input, cols } => Plan::Project {
-            input: Box::new(strip_redundant_distinct(*input, false)),
+        other => other.map_inputs(|p| strip_redundant_distinct(p, false)),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pass 5: stacked-projection folding
+// ---------------------------------------------------------------------------
+
+/// Fold a `Project` whose expressions are all plain column references
+/// into the `Project` directly below it, resolving each reference
+/// through the inner projection's output schema to the expression it
+/// names. Pruning stacks narrowing projections (up to four deep over
+/// the translated TPC-H queries); bottom-up folding leaves one per
+/// stack. A `Project` over anything else — the identity projection
+/// above a `Distinct` included — stays as it is.
+fn fold_projections(plan: Plan) -> Plan {
+    let Plan::Project { input, cols } = plan else {
+        return plan.map_inputs(fold_projections);
+    };
+    match fold_projections(*input) {
+        Plan::Project {
+            input: inner,
+            cols: inner_cols,
+        } => match compose_projection(&cols, &inner_cols) {
+            Some(cols) => Plan::Project { input: inner, cols },
+            None => Plan::Project {
+                input: Box::new(Plan::Project {
+                    input: inner,
+                    cols: inner_cols,
+                }),
+                cols,
+            },
+        },
+        input => Plan::Project {
+            input: Box::new(input),
             cols,
         },
-        Plan::Join { left, right, pred } => Plan::Join {
-            left: Box::new(strip_redundant_distinct(*left, false)),
-            right: Box::new(strip_redundant_distinct(*right, false)),
-            pred,
-        },
-        Plan::SemiJoin { left, right, pred } => Plan::SemiJoin {
-            left: Box::new(strip_redundant_distinct(*left, false)),
-            right: Box::new(strip_redundant_distinct(*right, false)),
-            pred,
-        },
-        Plan::AntiJoin { left, right, pred } => Plan::AntiJoin {
-            left: Box::new(strip_redundant_distinct(*left, false)),
-            right: Box::new(strip_redundant_distinct(*right, false)),
-            pred,
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(strip_redundant_distinct(*left, false)),
-            right: Box::new(strip_redundant_distinct(*right, false)),
-        },
-        leaf => leaf,
     }
+}
+
+/// `outer ∘ inner` as one column list, or `None` when an outer
+/// expression is not a plain reference resolving uniquely among the
+/// inner outputs. Output names are the outer ones.
+fn compose_projection(
+    outer: &[(Expr, ColRef)],
+    inner: &[(Expr, ColRef)],
+) -> Option<Vec<(Expr, ColRef)>> {
+    let inner_schema = Schema::new(inner.iter().map(|(_, name)| name.clone()).collect());
+    outer
+        .iter()
+        .map(|(e, name)| match e {
+            Expr::Col(r) => {
+                let i = inner_schema.resolve(r).ok()?;
+                Some((inner[i].0.clone(), name.clone()))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -117,39 +152,7 @@ fn push_selections(plan: Plan, catalog: &Catalog) -> Plan {
             let inner = push_selections(*input, catalog);
             push_pred_into(inner, pred, catalog)
         }
-        Plan::Project { input, cols } => Plan::Project {
-            input: Box::new(push_selections(*input, catalog)),
-            cols,
-        },
-        Plan::Join { left, right, pred } => Plan::Join {
-            left: Box::new(push_selections(*left, catalog)),
-            right: Box::new(push_selections(*right, catalog)),
-            pred,
-        },
-        Plan::SemiJoin { left, right, pred } => Plan::SemiJoin {
-            left: Box::new(push_selections(*left, catalog)),
-            right: Box::new(push_selections(*right, catalog)),
-            pred,
-        },
-        Plan::AntiJoin { left, right, pred } => Plan::AntiJoin {
-            left: Box::new(push_selections(*left, catalog)),
-            right: Box::new(push_selections(*right, catalog)),
-            pred,
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(push_selections(*left, catalog)),
-            right: Box::new(push_selections(*right, catalog)),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(push_selections(*left, catalog)),
-            right: Box::new(push_selections(*right, catalog)),
-        },
-        Plan::Distinct(input) => Plan::Distinct(Box::new(push_selections(*input, catalog))),
-        Plan::Rename { input, alias } => Plan::Rename {
-            input: Box::new(push_selections(*input, catalog)),
-            alias,
-        },
-        leaf => leaf,
+        other => other.map_inputs(|p| push_selections(p, catalog)),
     }
 }
 
@@ -340,58 +343,17 @@ fn reorder_joins(plan: Plan, catalog: &Catalog) -> Plan {
             let original = plan.clone();
             let mut leaves = Vec::new();
             let mut conjuncts = Vec::new();
+            // Fallback when safe rebinding is impossible: recurse into
+            // the join's children without flattening this node.
+            let children_only = |join: Plan| join.map_inputs(|p| reorder_joins(p, catalog));
             if flatten_joins(plan, catalog, &mut leaves, &mut conjuncts).is_some() {
                 rebuild_join_tree(leaves, conjuncts, catalog)
-                    .unwrap_or_else(|| reorder_children_only(original, catalog))
+                    .unwrap_or_else(|| children_only(original))
             } else {
-                reorder_children_only(original, catalog)
+                children_only(original)
             }
         }
-        Plan::Select { input, pred } => Plan::Select {
-            input: Box::new(reorder_joins(*input, catalog)),
-            pred,
-        },
-        Plan::Project { input, cols } => Plan::Project {
-            input: Box::new(reorder_joins(*input, catalog)),
-            cols,
-        },
-        Plan::SemiJoin { left, right, pred } => Plan::SemiJoin {
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-            pred,
-        },
-        Plan::AntiJoin { left, right, pred } => Plan::AntiJoin {
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-            pred,
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-        },
-        Plan::Distinct(input) => Plan::Distinct(Box::new(reorder_joins(*input, catalog))),
-        Plan::Rename { input, alias } => Plan::Rename {
-            input: Box::new(reorder_joins(*input, catalog)),
-            alias,
-        },
-        leaf => leaf,
-    }
-}
-
-/// Recurse into a join's children without flattening this node (fallback
-/// when safe rebinding is impossible).
-fn reorder_children_only(plan: Plan, catalog: &Catalog) -> Plan {
-    match plan {
-        Plan::Join { left, right, pred } => Plan::Join {
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-            pred,
-        },
-        other => reorder_joins(other, catalog),
+        other => other.map_inputs(|p| reorder_joins(p, catalog)),
     }
 }
 
@@ -747,7 +709,7 @@ pub(crate) fn est_rows_cached(plan: &Plan, catalog: &Catalog, cache: &EstCache) 
 /// Memoized schema shape: estimation consults the schema of every
 /// σ/join node, and deriving it fresh each time is quadratic in plan
 /// size. Errors collapse to the empty schema (estimates stay defined).
-fn shape_cached(plan: &Plan, catalog: &Catalog, cache: &EstCache) -> Schema {
+pub(crate) fn shape_cached(plan: &Plan, catalog: &Catalog, cache: &EstCache) -> Schema {
     let key = plan as *const Plan as usize;
     if let Some(s) = cache.shapes.borrow().get(&key) {
         return s.clone();
@@ -1268,15 +1230,9 @@ fn prune_projections(plan: Plan, catalog: &Catalog, needed: Option<&BTreeSet<Col
             }
         }
         // Positional / set-sensitive operators: stop propagating needs.
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(prune_projections(*left, catalog, None)),
-            right: Box::new(prune_projections(*right, catalog, None)),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(prune_projections(*left, catalog, None)),
-            right: Box::new(prune_projections(*right, catalog, None)),
-        },
-        Plan::Distinct(input) => Plan::Distinct(Box::new(prune_projections(*input, catalog, None))),
+        set_op @ (Plan::Union { .. } | Plan::Difference { .. } | Plan::Distinct(_)) => {
+            set_op.map_inputs(|p| prune_projections(p, catalog, None))
+        }
         Plan::Rename { input, alias } => {
             // Strip the alias qualifier to express needs in terms of the
             // inner schema; foreign-qualified refs cannot match inside.

@@ -250,6 +250,52 @@ impl Plan {
         }
     }
 
+    /// Rebuild this node with `f` applied to each direct input, left
+    /// before right (leaves come back unchanged): the traversal
+    /// skeleton of the optimizer's rewrite passes.
+    pub(crate) fn map_inputs(self, mut f: impl FnMut(Plan) -> Plan) -> Plan {
+        let mut g = |p: Box<Plan>| Box::new(f(*p));
+        match self {
+            Plan::Scan(_) | Plan::Values(_) => self,
+            Plan::Select { input, pred } => Plan::Select {
+                input: g(input),
+                pred,
+            },
+            Plan::Project { input, cols } => Plan::Project {
+                input: g(input),
+                cols,
+            },
+            Plan::Rename { input, alias } => Plan::Rename {
+                input: g(input),
+                alias,
+            },
+            Plan::Distinct(input) => Plan::Distinct(g(input)),
+            Plan::Join { left, right, pred } => Plan::Join {
+                left: g(left),
+                right: g(right),
+                pred,
+            },
+            Plan::SemiJoin { left, right, pred } => Plan::SemiJoin {
+                left: g(left),
+                right: g(right),
+                pred,
+            },
+            Plan::AntiJoin { left, right, pred } => Plan::AntiJoin {
+                left: g(left),
+                right: g(right),
+                pred,
+            },
+            Plan::Union { left, right } => Plan::Union {
+                left: g(left),
+                right: g(right),
+            },
+            Plan::Difference { left, right } => Plan::Difference {
+                left: g(left),
+                right: g(right),
+            },
+        }
+    }
+
     /// Number of operator nodes — the paper's "parsimonious translation"
     /// is checked by counting these.
     pub fn node_count(&self) -> usize {

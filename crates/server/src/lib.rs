@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use urel_core::translate::PreparedDb;
 use urel_core::udb::UDatabase;
 use urel_relalg::admission::{self, AdmissionGate};
-use urel_relalg::{Catalog, EngineConfig};
+use urel_relalg::Catalog;
 
 /// Server configuration. [`ServerConfig::from_env`] reads the
 /// `RELALG_SERVER_*` knobs; tests construct values directly.
@@ -52,8 +52,8 @@ pub struct ServerConfig {
     /// slot is busy).
     pub max_queue: usize,
     /// Per-request deadline, measured from request receipt and covering
-    /// both the admission wait and execution (`RELALG_DEADLINE_MS`
-    /// through the engine config; `None` = no limit).
+    /// both the admission wait and execution (`RELALG_DEADLINE_MS`;
+    /// unset, unparseable or zero = `None`, no limit).
     pub deadline: Option<Duration>,
 }
 
@@ -69,11 +69,14 @@ impl ServerConfig {
             .unwrap_or(1);
         let max_concurrent = env_usize("RELALG_SERVER_MAX_CONCURRENT").unwrap_or(cores);
         let max_queue = env_usize("RELALG_SERVER_QUEUE").unwrap_or(16);
+        let deadline = env_usize("RELALG_DEADLINE_MS")
+            .filter(|&ms| ms > 0)
+            .map(|ms| Duration::from_millis(ms as u64));
         ServerConfig {
             addr,
             max_concurrent,
             max_queue,
-            deadline: EngineConfig::default().deadline,
+            deadline,
         }
     }
 }
@@ -170,6 +173,19 @@ pub fn serve(udb: Arc<UDatabase>, config: ServerConfig) -> std::io::Result<Serve
     })
 }
 
+/// The prepared database one session runs its statements on: the
+/// shared catalog with an equal share of the global memory budget per
+/// execution slot, so `max_concurrent` admitted statements together
+/// stay inside `RELALG_MEM_BUDGET`. An unbounded budget stays unbounded.
+pub fn session_db(udb: &UDatabase, catalog: Catalog, max_concurrent: usize) -> PreparedDb<'_> {
+    let mut prepared = PreparedDb::with_catalog(udb, catalog);
+    let global_budget = prepared.catalog().config().mem_budget;
+    if global_budget != usize::MAX {
+        prepared.set_mem_budget((global_budget / max_concurrent.max(1)).max(1));
+    }
+    prepared
+}
+
 /// One session: read request lines, answer each with one response
 /// line. Protocol errors answer with `"kind":"proto"` and keep the
 /// session; I/O errors end it.
@@ -181,14 +197,7 @@ fn session(
     stop: &AtomicBool,
     stream: TcpStream,
 ) -> std::io::Result<()> {
-    let mut prepared = PreparedDb::with_catalog(udb, catalog);
-    // Per-session memory: an equal share of the global budget per
-    // execution slot, so `max_concurrent` admitted statements together
-    // stay inside `RELALG_MEM_BUDGET`.
-    let global_budget = prepared.catalog().config().mem_budget;
-    if global_budget != usize::MAX {
-        prepared.set_mem_budget((global_budget / gate.max_concurrent()).max(1));
-    }
+    let mut prepared = session_db(udb, catalog, gate.max_concurrent());
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     for line in reader.lines() {

@@ -8,10 +8,10 @@
 //!   (uncertain TPC-H at scale factor `<scale>` with uncertainty ratio
 //!   `<x>`, default 0.1).
 //! - `RELALG_SERVER_ADDR`, `RELALG_SERVER_MAX_CONCURRENT`,
-//!   `RELALG_SERVER_QUEUE` — see [`urel_server::ServerConfig`].
+//!   `RELALG_SERVER_QUEUE`, `RELALG_DEADLINE_MS` — see
+//!   [`urel_server::ServerConfig`].
 //! - Engine knobs (`RELALG_THREADS`, `RELALG_MEM_BUDGET`,
-//!   `RELALG_STORAGE`, `RELALG_DEADLINE_MS`, …) apply to every
-//!   session.
+//!   `RELALG_STORAGE`, …) apply to every session.
 //!
 //! Prints `listening on <addr>` to stdout once bound — with port 0 the
 //! line is how harnesses learn the real port.

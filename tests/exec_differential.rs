@@ -376,8 +376,8 @@ proptest! {
     /// reduced or-set databases, random logical queries, optimized
     /// plans — the morsel-driven engine at 2 and 4 workers must emit
     /// exactly the serial row vector (order included), and `ExecStats`
-    /// must report the worker fan-out the prepare planned (which the
-    /// static `predicted_workers` mirror agrees with).
+    /// must report the worker fan-out the prepare planned (which
+    /// `predicted_workers`, EXPLAIN's number, agrees with).
     #[test]
     fn parallel_translated_plans_match_serial_byte_for_byte(
         db in arb_udb(),
@@ -409,15 +409,15 @@ proptest! {
                 "ExecStats workers {} != planned {workers}",
                 streamed.stats().workers
             );
-            // The static mirror cannot model runtime spill decisions: a
-            // hash-join build that spills under a memory budget forces
-            // the pull serial. Other spill kinds (dedup, sort,
+            // The plan-level prediction cannot model runtime spill
+            // decisions: a hash-join build that spills under a memory
+            // budget forces the pull serial. Other spill kinds (dedup, sort,
             // aggregation) must NOT change the worker count, so the
             // assertion stays live for them.
             if !streamed.spilled_build() {
                 prop_assert!(
                     exec::predicted_workers(&plan, &cat) == workers,
-                    "static mirror disagrees with prepare for {plan:?}"
+                    "predicted_workers disagrees with prepare for {plan:?}"
                 );
             }
             prop_assert!(workers <= threads);

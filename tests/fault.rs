@@ -60,9 +60,9 @@ fn plan() -> Plan {
 }
 
 /// A catalog pinned against the process environment: every knob the CI
-/// matrix can set (`RELALG_FAULTS`, `RELALG_DEADLINE_MS`,
-/// `RELALG_STORAGE`, `RELALG_MEM_BUDGET`) is overridden explicitly so
-/// each test controls its own schedule.
+/// matrix can set (`RELALG_FAULTS`, `RELALG_STORAGE`,
+/// `RELALG_MEM_BUDGET`) is overridden explicitly, and the deadline is
+/// cleared, so each test controls its own schedule.
 fn catalog(mode: StorageMode, threads: usize, pool_cap: usize) -> Catalog {
     let mut c = Catalog::new().with_config(EngineConfig::serial());
     c.set_storage(mode);

@@ -17,7 +17,7 @@ use std::time::Duration;
 use u_relations::core::{figure1_database, translate::PreparedDb};
 use u_relations::relalg::store::pool_for;
 use u_relations::relalg::{fault, EngineConfig};
-use u_relations::server::{render_answers, serve, Client, Json, ServerConfig};
+use u_relations::server::{render_answers, serve, session_db, Client, Json, ServerConfig};
 use u_relations::{ql, server::render_explain};
 
 fn test_config() -> ServerConfig {
@@ -63,10 +63,13 @@ fn tcp_answers_are_byte_identical_to_library() {
 #[test]
 fn explain_over_tcp_matches_library() {
     let udb = Arc::new(figure1_database());
-    let server = serve(Arc::clone(&udb), test_config()).unwrap();
+    let config = test_config();
+    let server = serve(Arc::clone(&udb), config.clone()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let prepared = PreparedDb::with_catalog(&udb, udb.to_catalog());
+    // Configured exactly like a session, so the EXPLAIN footer's memory
+    // budget (the session's share of the global one) matches.
+    let prepared = session_db(&udb, udb.to_catalog(), config.max_concurrent);
     let src = "explain from r as a | join r as b on a.id = b.id | select a.type";
     let (id, raw) = client.query_raw(src).unwrap();
     let lowered = ql::compile(src).unwrap();
@@ -149,6 +152,29 @@ fn concurrent_sessions_all_answer_correctly() {
     assert_eq!(stats.admitted, 100);
     assert_eq!(stats.in_flight, 0);
     server.shutdown();
+}
+
+/// The CI server leg's deadline guard: the leg sets
+/// `RELALG_DEADLINE_MS`, and the server — not the engine — must pick it
+/// up. `ServerConfig::from_env` turns it into the per-request deadline,
+/// while library catalogs (`EngineConfig::default`) stay unbounded.
+/// Without the env var the test checks the unset default.
+#[test]
+fn ci_server_leg_deadline_reaches_server_config() {
+    let env_ms = std::env::var("RELALG_DEADLINE_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .filter(|&ms| ms > 0);
+    assert_eq!(
+        ServerConfig::from_env().deadline,
+        env_ms.map(Duration::from_millis),
+        "RELALG_DEADLINE_MS is set but the server config ignores it"
+    );
+    assert_eq!(
+        EngineConfig::default().deadline,
+        None,
+        "library catalogs must not read the server's deadline knob"
+    );
 }
 
 /// The CI server leg's no-op guard: under a one-slot, one-waiter

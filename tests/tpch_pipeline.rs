@@ -136,6 +136,50 @@ fn q3_plan_shape_survives_correlation_aware_estimates() {
 }
 
 #[test]
+fn optimizer_folds_stacked_column_projections() {
+    // Projection pruning stacks narrowing projections; the optimizer's
+    // fold pass must leave no column-only `Project` directly on another
+    // `Project` in the optimized Q1-Q3, and answers stay the same.
+    use u_relations::relalg::{Expr, Plan};
+    fn stacked_projections(p: &Plan) -> usize {
+        match p {
+            Plan::Scan(_) | Plan::Values(_) => 0,
+            Plan::Project { input, cols } => {
+                let folds = cols.iter().all(|(e, _)| matches!(e, Expr::Col(_)))
+                    && matches!(input.as_ref(), Plan::Project { .. });
+                usize::from(folds) + stacked_projections(input)
+            }
+            Plan::Select { input, .. } | Plan::Distinct(input) | Plan::Rename { input, .. } => {
+                stacked_projections(input)
+            }
+            Plan::Join { left, right, .. }
+            | Plan::SemiJoin { left, right, .. }
+            | Plan::AntiJoin { left, right, .. }
+            | Plan::Union { left, right }
+            | Plan::Difference { left, right } => {
+                stacked_projections(left) + stacked_projections(right)
+            }
+        }
+    }
+    let out = generate(&tiny(0.05, 0.25, 8)).unwrap();
+    let prepared = out.db.prepare();
+    let catalog = prepared.catalog();
+    for (name, q) in [("q1", q1()), ("q2", q2()), ("q3", q3())] {
+        let t = translate(&out.db, &q).unwrap();
+        let optimized = optimizer::optimize(&t.plan, catalog).unwrap();
+        assert_eq!(
+            stacked_projections(&optimized),
+            0,
+            "{name}: stacked column-only projections survive optimization:\n{}",
+            explain::explain(&optimized, catalog)
+        );
+        let raw = exec::execute(&t.plan, catalog).unwrap();
+        let opt = exec::execute(&optimized, catalog).unwrap();
+        assert!(raw.set_eq(&opt), "{name}: folding changed the answers");
+    }
+}
+
+#[test]
 fn figure9_trends_hold_at_tiny_scale() {
     // Worlds exponential in x; size linear; lworlds grows with z.
     let w_small = generate(&tiny(0.01, 0.25, 3)).unwrap();
