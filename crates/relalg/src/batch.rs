@@ -23,7 +23,7 @@
 //!
 //! Row-major materialization happens once, at the consumer.
 
-use crate::relation::{Column, ColumnarImage, Row};
+use crate::relation::{Column, ColumnBuilder, ColumnarImage, Row};
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -69,6 +69,44 @@ impl BatchCol<'_> {
             BatchCol::Const(v) => v.clone(),
             BatchCol::Shared { col, start } => col.get(start + pos),
             BatchCol::SharedView { col, sel } => col.get(sel[pos] as usize),
+        }
+    }
+
+    /// [`Value::size_bytes`] of the value at logical position `pos`
+    /// (no clone).
+    #[inline]
+    pub(crate) fn value_size(&self, pos: usize) -> usize {
+        match self {
+            BatchCol::Owned(col) => col.value_size(pos),
+            BatchCol::Const(v) => v.size_bytes(),
+            shared => {
+                let (col, idx) = shared.shared_at(pos).expect("shared column");
+                col.value_size(idx)
+            }
+        }
+    }
+
+    /// Append the values at logical positions `rows` to `out`.
+    pub(crate) fn append_to(&self, out: &mut ColumnBuilder, rows: std::ops::Range<usize>) {
+        match self {
+            BatchCol::Slice { col, start } => {
+                out.extend_from(col, start + rows.start..start + rows.end)
+            }
+            BatchCol::Shared { col, start } => {
+                out.extend_from(col, start + rows.start..start + rows.end)
+            }
+            BatchCol::View { col, sel } => {
+                out.extend_from(col, sel[rows].iter().map(|&i| i as usize))
+            }
+            BatchCol::SharedView { col, sel } => {
+                out.extend_from(col, sel[rows].iter().map(|&i| i as usize))
+            }
+            BatchCol::Owned(col) => out.extend_from(col, rows),
+            BatchCol::Const(v) => {
+                for _ in rows {
+                    out.push(v.clone());
+                }
+            }
         }
     }
 

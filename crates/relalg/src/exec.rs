@@ -9,7 +9,11 @@
 //!    join materializes its build side (unless that side is an
 //!    already-materialized scan, in which case the hash table indexes the
 //!    shared storage directly) and set-difference materializes its right
-//!    side.
+//!    side. Breaker inputs are **column-first**: batches append into
+//!    per-column builders, the resulting [`ColumnarImage`] is the
+//!    buffered relation's storage (rows are derived only on demand), and
+//!    one serial pass hashes its key columns with the probe's own
+//!    kernel into a flat chained [`RowTable`].
 //! 2. **Pull** ([`Streamed`]): the prepared tree executes **vectorized**,
 //!    serial or morsel-parallel.
 //!
@@ -43,8 +47,7 @@
 //!    outputs in morsel order — replaying deferred seen-set semantics —
 //!    so parallel output is **byte-identical** to serial;
 //!    [`Streamed::fold_batches_parallel`] instead hands aggregation
-//!    per-worker partial states to merge. Hash-table builds fan out too
-//!    (parallel digests into digest-routed [`RowTable`] partitions).
+//!    per-worker partial states to merge. Hash-table builds stay serial.
 //!    The parallel decision is made once, on the logical plan, by the
 //!    same function `EXPLAIN` uses to tag parallel roots
 //!    `[parallel xN]` ([`predicted_workers`]); [`ExecStats::workers`]
@@ -87,7 +90,7 @@ use crate::optimizer::{est_rows_cached, shape_cached, EstCache};
 use crate::plan::Plan;
 use crate::pool::TaskPool;
 use crate::provider::{ImageProvider, IoCounters, MemImageProvider};
-use crate::relation::{row_footprint, ColumnarImage, Relation, Row};
+use crate::relation::{row_footprint, ColumnBuilder, ColumnarImage, Relation, Row};
 use crate::schema::Schema;
 use crate::segment::DecodedSegment;
 use crate::spill::{merge_runs, MergeRuns, Record, Run, SpillCtx};
@@ -397,13 +400,11 @@ pub struct Streamed {
 }
 
 /// Prepare-time context: the catalog plus the buffer counters, the
-/// shared estimate cache, and the parallel-execution knobs (hash-table
-/// builds already fan out at prepare time).
+/// shared estimate cache, and the engine configuration.
 struct PrepCtx<'a> {
     catalog: &'a Catalog,
     counters: &'a Counters,
     est: &'a EstCache,
-    pool: TaskPool,
     cfg: EngineConfig,
 }
 
@@ -428,7 +429,6 @@ pub fn stream(plan: &Plan, catalog: &Catalog) -> Result<Streamed> {
         catalog,
         counters: &counters,
         est: &est,
-        pool: TaskPool::new(cfg.threads),
         cfg,
     };
     // Prepare-time breaker materializations pull through the same
@@ -857,72 +857,103 @@ enum Node {
     },
 }
 
-/// A hash table from key digest to row indices, split into digest-routed
-/// partitions so a parallel build fills disjoint partitions without
-/// locks. Serial builds use a single partition. Bucket contents are in
-/// ascending row order either way (each partition worker scans the
-/// digests in row order), so probe results are identical to a serial
-/// build's — the parallel build is invisible to consumers.
+/// A flat chained hash table from key digest to build-row indices:
+/// `heads` maps a power-of-two bucket (the high bits of a multiplicative
+/// remix of the digest) to its first row, `next` links the rows sharing
+/// a bucket, and `digests` lets a lookup skip rows of other digests.
+/// Filled in reverse row order, so every chain — and thus every lookup —
+/// yields ascending row indices.
 struct RowTable {
-    parts: Vec<FxHashMap<u64, Vec<usize>>>,
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    digests: Vec<u64>,
+    /// `64 - log2(heads.len())`.
+    shift: u32,
 }
 
+/// End of a [`RowTable`] chain.
+const NIL: u32 = u32::MAX;
+
 impl RowTable {
-    /// Build from per-row digests, fanning the insert out over digest
-    /// partitions when the pool and input size justify it.
-    fn build(digests: &[u64], pool: &TaskPool, min_rows: usize) -> Result<RowTable> {
-        let nparts = if pool.threads() > 1 && digests.len() >= min_rows {
-            pool.threads()
-        } else {
-            1
-        };
-        if nparts == 1 {
-            let mut m: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for (i, &h) in digests.iter().enumerate() {
-                m.entry(h).or_default().push(i);
-            }
-            return Ok(RowTable { parts: vec![m] });
+    /// Index rows by their digests (row `i` has digest `digests[i]`).
+    fn new(digests: Vec<u64>) -> RowTable {
+        assert!(digests.len() < NIL as usize, "build rows fit u32");
+        let buckets = digests.len().max(2).next_power_of_two();
+        let shift = 64 - buckets.trailing_zeros();
+        let mut heads = vec![NIL; buckets];
+        let mut next = vec![NIL; digests.len()];
+        for i in (0..digests.len()).rev() {
+            let b = bucket(digests[i], shift);
+            next[i] = heads[b];
+            heads[b] = i as u32;
         }
-        let parts = pool.scatter_gather(nparts, |p| {
-            let mut m: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for (i, &h) in digests.iter().enumerate() {
-                if (h as usize) % nparts == p {
-                    m.entry(h).or_default().push(i);
-                }
-            }
-            m
-        })?;
-        Ok(RowTable { parts })
+        RowTable {
+            heads,
+            next,
+            digests,
+            shift,
+        }
     }
 
-    /// Row indices whose key hashed to `h` (ascending; hash collisions
+    /// Row indices whose key hashed to `h`, ascending (hash collisions
     /// included — callers re-check exact equality).
     #[inline]
-    fn get(&self, h: u64) -> Option<&[usize]> {
-        let part = if self.parts.len() == 1 {
-            &self.parts[0]
-        } else {
-            &self.parts[(h as usize) % self.parts.len()]
-        };
-        part.get(&h).map(Vec::as_slice)
+    fn get(&self, h: u64) -> Matches<'_> {
+        Matches {
+            table: self,
+            row: self.heads[bucket(h, self.shift)],
+            digest: h,
+        }
+    }
+}
+
+/// The [`RowTable`] bucket of `digest`: the top bits of a Fibonacci
+/// (multiplicative) remix, so every digest bit shapes the index.
+#[inline]
+fn bucket(digest: u64, shift: u32) -> usize {
+    (digest.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
+/// The rows of one digest: a walk down its bucket's chain.
+struct Matches<'t> {
+    table: &'t RowTable,
+    row: u32,
+    digest: u64,
+}
+
+impl Iterator for Matches<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.row != NIL {
+            let i = self.row as usize;
+            self.row = self.table.next[i];
+            if self.table.digests[i] == self.digest {
+                return Some(i);
+            }
+        }
+        None
     }
 }
 
 /// The right side of a set difference: the materialized relation plus
-/// its full-row digest → row indices membership table.
+/// its full-row digest table, and every column index (the key of a
+/// full-row comparison).
 struct Except {
     right: Arc<Relation>,
     table: RowTable,
+    cols: Vec<usize>,
 }
 
 impl Except {
     /// Does batch row `pos` (full-row digest `digest`) occur on the
-    /// right side?
+    /// right side? Compares against the right side's image columns.
     fn contains(&self, b: &ColumnBatch<'_>, pos: usize, digest: u64) -> bool {
-        self.table.get(digest).is_some_and(|is| {
-            is.iter()
-                .any(|&i| batch_row_eq(b, pos, &self.right.rows()[i]))
-        })
+        let image = self.right.columns();
+        self.table
+            .get(digest)
+            .any(|i| batch_keys_eq(b, &self.cols, pos, image, &self.cols, i))
     }
 }
 
@@ -995,43 +1026,25 @@ struct SemiNode {
     keep_matched: bool,
 }
 
-/// Per-row key digests of a materialized relation, computed in parallel
-/// chunks when large enough (`keys` empty → full-row digests). The
-/// digests feed [`RowTable::build`]; both stages are the "parallel
-/// partial build" half of a partitioned hash-join build.
-fn table_digests(
-    rel: &Relation,
-    keys: &[usize],
-    pool: &TaskPool,
-    min_rows: usize,
-) -> Result<Vec<u64>> {
-    let rows = rel.rows();
-    let digest = |row: &Row| {
-        if keys.is_empty() {
-            row_hash(row)
-        } else {
-            key_hash(row, keys)
-        }
-    };
-    if pool.threads() <= 1 || rows.len() < min_rows.max(pool.threads()) {
-        return Ok(rows.iter().map(digest).collect());
+/// Per-row digests of the `keys` columns of an image, hashed
+/// [`BATCH_SIZE`] rows at a time by the probe's own kernel
+/// ([`batch_key_hashes`]), so build and probe digests agree by
+/// construction.
+fn image_digests(image: &ColumnarImage, keys: &[usize]) -> Vec<u64> {
+    let mut digests = Vec::with_capacity(image.len());
+    for start in (0..image.len()).step_by(BATCH_SIZE) {
+        let len = BATCH_SIZE.min(image.len() - start);
+        digests.extend(batch_key_hashes(
+            &ColumnBatch::slice_of(image, start, len),
+            keys,
+        ));
     }
-    let chunk = rows.len().div_ceil(pool.threads());
-    let chunks: Vec<&[Row]> = rows.chunks(chunk).collect();
-    Ok(pool
-        .scatter_gather(chunks.len(), |i| {
-            chunks[i].iter().map(digest).collect::<Vec<u64>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect())
+    digests
 }
 
-/// Build the digest-keyed row table of a breaker side (parallel partial
-/// build + partitioned insert when worthwhile).
-fn build_table(rel: &Relation, keys: &[usize], ctx: &PrepCtx<'_>) -> Result<RowTable> {
-    let digests = table_digests(rel, keys, &ctx.pool, ctx.cfg.parallel_min_rows)?;
-    RowTable::build(&digests, &ctx.pool, ctx.cfg.parallel_min_rows)
+/// The digest table of a breaker side over its `keys` columns.
+fn build_table(rel: &Relation, keys: &[usize]) -> RowTable {
+    RowTable::new(image_digests(rel.columns(), keys))
 }
 
 fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
@@ -1138,7 +1151,7 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                 let (lk, rk): (Vec<usize>, Vec<usize>) = cond.equi.iter().cloned().unzip();
                 (rk, lk)
             };
-            let build = prepare_join_build(build_node, build_schema, &build_keys, ctx)?;
+            let build = prepare_join_build(build_node, build_schema, &build_keys, counters)?;
             Ok((
                 Node::HashJoin(HashJoinNode {
                     probe: Box::new(probe_node),
@@ -1169,7 +1182,7 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                 None
             } else {
                 let (lk, rk): (Vec<usize>, Vec<usize>) = cond.equi.iter().cloned().unzip();
-                let table = build_table(&right_rel, &rk, ctx)?;
+                let table = build_table(&right_rel, &rk);
                 Some((table, lk, rk))
             };
             Ok((
@@ -1204,8 +1217,9 @@ fn prepare(plan: &Plan, ctx: &PrepCtx<'_>) -> Result<(Node, Schema)> {
                     let (rnode, rs) = prepare(right, ctx)?;
                     check_compatible(&schema, &rs)?;
                     let right = materialize(rnode, &rs, counters)?;
-                    let table = build_table(&right, &[], ctx)?;
-                    Some(Except { right, table })
+                    let cols: Vec<usize> = (0..rs.arity()).collect();
+                    let table = build_table(&right, &cols);
+                    Some(Except { right, table, cols })
                 }
                 _ => None,
             };
@@ -1232,34 +1246,76 @@ fn check_compatible(left: &Schema, right: &Schema) -> Result<()> {
     })
 }
 
+/// The column-first breaker buffer: each batch appends into one
+/// [`ColumnBuilder`] per column, and the buffer finishes as a relation
+/// whose columnar image is its storage.
+struct ColumnAccumulator {
+    cols: Vec<ColumnBuilder>,
+    len: usize,
+}
+
+impl ColumnAccumulator {
+    fn new(arity: usize) -> ColumnAccumulator {
+        ColumnAccumulator {
+            cols: (0..arity).map(|_| ColumnBuilder::default()).collect(),
+            len: 0,
+        }
+    }
+
+    /// Append the batch positions `rows`.
+    fn append(&mut self, b: &ColumnBatch<'_>, rows: std::ops::Range<usize>) {
+        for (out, c) in self.cols.iter_mut().zip(&b.cols) {
+            c.append_to(out, rows.clone());
+        }
+        self.len += rows.len();
+    }
+
+    fn finish(self, schema: &Schema) -> Result<Relation> {
+        let cols = self.cols.into_iter().map(ColumnBuilder::finish).collect();
+        Relation::from_columns(schema.clone(), cols, self.len)
+    }
+}
+
+/// [`row_footprint`] of every row of a batch, summed column-wise — what
+/// a breaker buffer charges against the memory budget for it.
+fn batch_footprints(b: &ColumnBatch<'_>) -> Vec<usize> {
+    let mut bytes = vec![24 + 24 * b.cols.len(); b.len()];
+    for c in &b.cols {
+        for (pos, n) in bytes.iter_mut().enumerate() {
+            *n += c.value_size(pos);
+        }
+    }
+    bytes
+}
+
 /// Run a breaker-side node to completion. An already-materialized source
 /// is reused as-is — no rows are copied and no buffer is counted; any
-/// other subtree runs vectorized into the buffer. Under a memory
-/// budget the copied rows are *charged* (so `ExecStats` tracks them and
-/// sibling breakers spill earlier), but non-join breaker inputs do not
-/// themselves spill — only hash-join builds, sort, aggregation and the
-/// dedup seen-sets have spill paths.
+/// other subtree runs vectorized into a column-first buffer. Under a
+/// memory budget the buffered rows are *charged* (so `ExecStats` tracks
+/// them and sibling breakers spill earlier), but non-join breaker inputs
+/// do not themselves spill — only hash-join builds, sort, aggregation
+/// and the dedup seen-sets have spill paths.
 fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<Relation>> {
     if let Node::Source(src) = node {
         return Ok(src.rel);
     }
-    let mut rows = Vec::new();
+    let budget = counters.spill.budget();
+    let mut acc = ColumnAccumulator::new(schema.arity());
+    let mut bytes = 0usize;
     let mut cur = node.cursor(None, counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
-        rows.extend((0..b.len()).map(|pos| b.row(pos)));
+        if budget.enabled() {
+            bytes += batch_footprints(&b).iter().sum::<usize>();
+        }
+        acc.append(&b, 0..b.len());
     }
-    if counters.spill.budget().enabled() {
-        counters
-            .spill
-            .budget()
-            .charge(rows.iter().map(row_footprint).sum());
-    }
-    counters.buffer(rows.len());
+    budget.charge(bytes);
+    counters.buffer(acc.len);
     // Seen-set rows of nested breakers pulled during this prepare-time
     // materialization are permanent, not part of a re-runnable pull.
     counters.commit_pull();
-    Relation::new(schema.clone(), rows).map(Arc::new)
+    acc.finish(schema).map(Arc::new)
 }
 
 /// Materialize a hash-join build side under the memory budget.
@@ -1268,79 +1324,86 @@ fn materialize(node: Node, schema: &Schema, counters: &Counters) -> Result<Arc<R
 /// indexes the shared storage; nothing is charged — the budget governs
 /// intermediate buffers, not the catalog's resident data), and with no
 /// budget configured this is exactly [`materialize`] + [`build_table`].
-/// Under a budget, a *computed* build side streams into an in-memory
-/// buffer; the moment the buffer exceeds the per-worker share it is
-/// flushed into [`SPILL_JOIN_PARTS`] digest-routed partition run files
-/// and every remaining row streams straight to disk, so the resident
-/// footprint stays near the share. Partition files hold `(build row
-/// index, key digest, row)` records in ascending index order — the
-/// order the hybrid-hash probe needs to reproduce in-memory output
-/// byte-for-byte.
+/// Under a budget, a *computed* build side streams into a column-first
+/// buffer charged row by row; the moment the buffer exceeds the
+/// per-worker share it is flushed into [`SPILL_JOIN_PARTS`]
+/// digest-routed partition run files and every remaining row streams
+/// straight to disk, so the resident footprint stays near the share.
+/// Partition files hold `(build row index, key digest, row)` records in
+/// ascending index order — the order the hybrid-hash probe needs to
+/// reproduce in-memory output byte-for-byte.
 fn prepare_join_build(
     node: Node,
     schema: &Schema,
     keys: &[usize],
-    ctx: &PrepCtx<'_>,
+    counters: &Counters,
 ) -> Result<JoinBuild> {
-    let counters = ctx.counters;
-    if !counters.spill.budget().enabled() || matches!(node, Node::Source(_)) {
+    let spill = &counters.spill;
+    if !spill.budget().enabled() || matches!(node, Node::Source(_)) {
         let rel = materialize(node, schema, counters)?;
-        let table = build_table(&rel, keys, ctx)?;
+        let table = build_table(&rel, keys);
         return Ok(JoinBuild::Mem { rel, table });
     }
-    let spill = &counters.spill;
     let share = spill.budget().share();
-    let mut rows: Vec<Row> = Vec::new();
+    let mut acc = ColumnAccumulator::new(schema.arity());
     let mut resident_bytes = 0usize;
     let mut tail_bytes = 0usize;
     let mut total_rows = 0usize;
     let mut writers: Option<Vec<crate::spill::RunWriter>> = None;
-    let mut push = |row: Row,
-                    rows: &mut Vec<Row>,
-                    writers: &mut Option<Vec<crate::spill::RunWriter>>|
-     -> Result<()> {
-        let bytes = row_footprint(&row);
-        let idx = total_rows as u64;
-        total_rows += 1;
-        if let Some(ws) = writers {
-            let digest = key_hash(&row, keys);
-            ws[spill_part(digest, 0)].push(&[idx, digest], &row)?;
-            tail_bytes += bytes;
-            return Ok(());
-        }
-        spill.budget().charge(bytes);
-        resident_bytes += bytes;
-        rows.push(row);
-        if resident_bytes > share {
-            // Over the share: divert to disk. Buffered rows flush into
-            // digest partitions (their indices are their positions).
-            let mut ws: Vec<crate::spill::RunWriter> = (0..SPILL_JOIN_PARTS)
-                .map(|_| spill.writer("join-build"))
-                .collect::<Result<_>>()?;
-            for (i, r) in rows.drain(..).enumerate() {
-                let digest = key_hash(&r, keys);
-                ws[spill_part(digest, 0)].push(&[i as u64, digest], &r)?;
-            }
-            spill.record_spill(resident_bytes);
-            spill.budget().release(resident_bytes);
-            resident_bytes = 0;
-            *writers = Some(ws);
-        }
-        Ok(())
-    };
     let mut cur = node.cursor(None, counters);
     while let Some(b) = cur.next_batch() {
         counters.batch(b.len());
-        for pos in 0..b.len() {
-            push(b.row(pos), &mut rows, &mut writers)?;
+        let bytes = batch_footprints(&b);
+        let mut resident_end = 0;
+        if writers.is_none() {
+            // Rows stay resident up to and including the one whose
+            // charge crosses the share.
+            let mut charged = 0usize;
+            for &n in &bytes {
+                charged += n;
+                resident_end += 1;
+                if resident_bytes + charged > share {
+                    break;
+                }
+            }
+            spill.budget().charge(charged);
+            resident_bytes += charged;
+            acc.append(&b, 0..resident_end);
+            if resident_bytes > share {
+                // Over the share: divert to disk. Buffered rows flush
+                // into digest partitions (their indices are their
+                // positions).
+                let mut ws: Vec<crate::spill::RunWriter> = (0..SPILL_JOIN_PARTS)
+                    .map(|_| spill.writer("join-build"))
+                    .collect::<Result<_>>()?;
+                let buffered = std::mem::replace(&mut acc, ColumnAccumulator::new(0));
+                let rel = buffered.finish(schema)?;
+                let image = rel.columns();
+                for (i, digest) in image_digests(image, keys).into_iter().enumerate() {
+                    ws[spill_part(digest, 0)].push(&[i as u64, digest], &image.row(i))?;
+                }
+                spill.record_spill(resident_bytes);
+                spill.budget().release(resident_bytes);
+                resident_bytes = 0;
+                writers = Some(ws);
+            }
         }
+        if let Some(ws) = writers.as_mut() {
+            let digests = batch_key_hashes(&b, keys);
+            for pos in resident_end..b.len() {
+                let (idx, digest) = ((total_rows + pos) as u64, digests[pos]);
+                ws[spill_part(digest, 0)].push(&[idx, digest], &b.row(pos))?;
+                tail_bytes += bytes[pos];
+            }
+        }
+        total_rows += b.len();
     }
     counters.buffer(total_rows);
     counters.commit_pull();
     match writers {
         None => {
-            let rel = Arc::new(Relation::new(schema.clone(), rows)?);
-            let table = build_table(&rel, keys, ctx)?;
+            let rel = Arc::new(acc.finish(schema)?);
+            let table = build_table(&rel, keys);
             Ok(JoinBuild::Mem { rel, table })
         }
         Some(ws) => {
@@ -2077,19 +2140,17 @@ impl<'a> BCursor<'a> {
                 let mut probe_pos: Vec<u32> = Vec::new();
                 let mut build_idx: Vec<u32> = Vec::new();
                 for (pos, h) in hashes.iter().enumerate() {
-                    if let Some(matches) = table.get(*h) {
-                        for &bi in matches {
-                            if batch_keys_eq(
-                                &b,
-                                &node.probe_keys,
-                                pos,
-                                build_image,
-                                &node.build_keys,
-                                bi,
-                            ) {
-                                probe_pos.push(pos as u32);
-                                build_idx.push(bi as u32);
-                            }
+                    for bi in table.get(*h) {
+                        if batch_keys_eq(
+                            &b,
+                            &node.probe_keys,
+                            pos,
+                            build_image,
+                            &node.build_keys,
+                            bi,
+                        ) {
+                            probe_pos.push(pos as u32);
+                            build_idx.push(bi as u32);
                         }
                     }
                 }
@@ -2387,32 +2448,27 @@ fn join_spilled_partition(
     }
     let bytes = build_run.bytes();
     ctx.budget().charge(bytes);
-    let mut table: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    for (i, (_, digest, _)) in build.iter().enumerate() {
-        table.entry(*digest).or_default().push(i);
-    }
+    let table = RowTable::new(build.iter().map(|(_, digest, _)| *digest).collect());
     let mut w = ctx.writer("join-out")?;
     let mut rd = probe_run.reader()?;
     while let Some((keys, prow)) = rd.next_record()? {
         let (seq, digest) = (keys[0], keys[1]);
-        if let Some(matches) = table.get(&digest) {
-            for &bi in matches {
-                let (idx, _, brow) = &build[bi];
-                if !keys_eq(brow, &node.build_keys, &prow, &node.probe_keys) {
-                    continue;
-                }
-                let (lr, rr) = if node.probe_is_left {
-                    (&prow, brow)
-                } else {
-                    (brow, &prow)
-                };
-                if node
-                    .residual
-                    .as_ref()
-                    .is_none_or(|c| c.eval_bool_pair(lr, rr))
-                {
-                    w.push(&[seq, *idx], &concat_rows(lr, rr))?;
-                }
+        for bi in table.get(digest) {
+            let (idx, _, brow) = &build[bi];
+            if !keys_eq(brow, &node.build_keys, &prow, &node.probe_keys) {
+                continue;
+            }
+            let (lr, rr) = if node.probe_is_left {
+                (&prow, brow)
+            } else {
+                (brow, &prow)
+            };
+            if node
+                .residual
+                .as_ref()
+                .is_none_or(|c| c.eval_bool_pair(lr, rr))
+            {
+                w.push(&[seq, *idx], &concat_rows(lr, rr))?;
             }
         }
     }
@@ -2485,11 +2541,9 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
             match &node.residual {
                 None => {
                     for (pos, h) in hashes.iter().enumerate() {
-                        matched[pos] = table.get(*h).is_some_and(|matches| {
-                            matches
-                                .iter()
-                                .any(|&ri| batch_keys_eq(b, lk, pos, right_image, rk, ri))
-                        });
+                        matched[pos] = table
+                            .get(*h)
+                            .any(|ri| batch_keys_eq(b, lk, pos, right_image, rk, ri));
                     }
                 }
                 Some(res) => {
@@ -2500,11 +2554,9 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
                     // granularity (matters under key skew).
                     let mut cands: Vec<(u32, u32)> = Vec::new();
                     for (pos, h) in hashes.iter().enumerate() {
-                        if let Some(matches) = table.get(*h) {
-                            for &ri in matches {
-                                if batch_keys_eq(b, lk, pos, right_image, rk, ri) {
-                                    cands.push((pos as u32, ri as u32));
-                                }
+                        for ri in table.get(*h) {
+                            if batch_keys_eq(b, lk, pos, right_image, rk, ri) {
+                                cands.push((pos as u32, ri as u32));
                             }
                         }
                     }
@@ -2570,8 +2622,8 @@ fn semi_matched_mask(node: &SemiNode, b: &ColumnBatch<'_>) -> Vec<bool> {
 }
 
 /// Per-row FxHash digests of the key columns of a batch, column-at-a-time
-/// and byte-compatible with [`key_hash`] over rows (the probe digests
-/// must hit the row-built hash tables).
+/// — the one digest kernel of hash-table builds ([`image_digests`]) and
+/// probes, byte-compatible with [`key_hash`] over rows.
 fn batch_key_hashes(b: &ColumnBatch<'_>, keys: &[usize]) -> Vec<u64> {
     let mut hashers = vec![FxHasher::default(); b.len()];
     for &k in keys {
@@ -2704,8 +2756,9 @@ impl JoinCondition {
     }
 }
 
-/// FxHash digest of the key columns of a borrowed row — the hash-table
-/// key, so no `Vec<Value>` is materialized per build or probe row.
+/// FxHash digest of the key columns of a borrowed row — the reference
+/// engine's hash-table key, so no `Vec<Value>` is materialized per build
+/// or probe row.
 #[inline]
 fn key_hash(row: &Row, keys: &[usize]) -> u64 {
     let mut h = FxHasher::default();
@@ -2947,7 +3000,8 @@ fn ref_semi_anti(l: &Relation, r: &Relation, pred: &Expr, keep_matched: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit_i64, lit_str};
+    use crate::expr::{col, lit_bool, lit_i64, lit_str};
+    use crate::relation::Column;
     use crate::value::Value;
 
     fn catalog() -> Catalog {
@@ -3595,6 +3649,240 @@ mod tests {
         // fact splits into 3 one-batch morsels: 3 of the 4 configured
         // workers get one each.
         assert_eq!(par_stats.workers, 3);
+    }
+
+    #[test]
+    fn flat_row_table_chains_ascend_and_filter_digests() {
+        // Duplicate keys come back in ascending row order.
+        let t = RowTable::new(vec![5, 9, 5, 5, 9]);
+        assert_eq!(t.get(5).collect::<Vec<_>>(), [0, 2, 3]);
+        assert_eq!(t.get(9).collect::<Vec<_>>(), [1, 4]);
+        assert_eq!(t.get(7).count(), 0);
+        // Two digests sharing a bucket are filtered apart.
+        let shift = RowTable::new(vec![0; 6]).shift;
+        let a = 42u64;
+        let b = (a + 1..)
+            .find(|&d| bucket(d, shift) == bucket(a, shift))
+            .expect("a bucket twin");
+        let t = RowTable::new(vec![a, b, a, b, b, a]);
+        assert_eq!(t.shift, shift);
+        assert_eq!(t.get(a).collect::<Vec<_>>(), [0, 2, 5]);
+        assert_eq!(t.get(b).collect::<Vec<_>>(), [1, 3, 4]);
+        // 0-row and 1-row builds.
+        assert_eq!(RowTable::new(Vec::new()).get(a).count(), 0);
+        let one = RowTable::new(vec![a]);
+        assert_eq!(one.get(a).collect::<Vec<_>>(), [0]);
+        assert_eq!(one.get(b).count(), 0);
+    }
+
+    /// The in-memory build relation of a hash join at the root.
+    fn join_build_rel(s: &Streamed) -> &Arc<Relation> {
+        match &s.root {
+            Node::HashJoin(HashJoinNode {
+                build: JoinBuild::Mem { rel, .. },
+                ..
+            }) => rel,
+            _ => panic!("expected an in-memory hash-join build at the root"),
+        }
+    }
+
+    /// A bag union of `fact` projected to `(k, pad)`, one branch per pad
+    /// expression — the shape the union translation's padding produces —
+    /// joined with a larger computed probe side, so the union builds.
+    fn padded_union_join(pads: Vec<Expr>) -> (Plan, Plan) {
+        let build = pads
+            .into_iter()
+            .map(|pad| Plan::scan("fact").project(vec![(col("k"), "k".into()), (pad, "v".into())]))
+            .reduce(Plan::union)
+            .expect("at least one branch");
+        let probe = (0..4)
+            .map(|_| Plan::scan("fact").project(vec![(col("k"), "pk".into())]))
+            .reduce(Plan::union)
+            .expect("four branches");
+        let join = build.clone().join(probe, col("k").eq(col("pk")));
+        (build, join)
+    }
+
+    #[test]
+    fn computed_build_columns_match_row_built_variants() {
+        use std::mem::discriminant;
+        let s = || Value::interned("s");
+        for vals in [
+            vec![],
+            vec![Value::Null, Value::Null],
+            vec![Value::Int(1), Value::Int(2)],
+            vec![Value::Null, Value::Int(1)],
+            vec![Value::Int(1), Value::Null],
+            vec![s(), Value::Null, s()],
+            vec![Value::Null, s()],
+            vec![Value::Int(1), Value::Null, s()],
+            vec![Value::Null, Value::Bool(true), Value::Int(1)],
+        ] {
+            let mut b = ColumnBuilder::default();
+            for v in &vals {
+                b.push(v.clone());
+            }
+            let built = b.finish();
+            let want = Column::from_values(vals.clone());
+            assert_eq!(discriminant(&built), discriminant(&want), "{vals:?}");
+            assert_eq!(
+                (0..built.len()).map(|i| built.get(i)).collect::<Vec<_>>(),
+                vals
+            );
+        }
+        // Through the executor: the pad column changes type at batch
+        // boundaries (Int, then Null padding, then Str).
+        let c = big_catalog();
+        let null = Expr::Lit(Value::Null);
+        for pads in [
+            vec![lit_i64(7), null.clone(), lit_str("s")],
+            vec![lit_i64(7), null.clone()],
+            vec![null.clone(), lit_str("s")],
+        ] {
+            let (_, p) = padded_union_join(pads);
+            let s = stream(&p, &c).unwrap();
+            let rel = join_build_rel(&s);
+            assert_eq!(rel.schema().arity(), 2, "the padded union builds");
+            let row_built = Relation::new(rel.schema().clone(), rel.rows().to_vec()).unwrap();
+            for (a, b) in rel.columns().cols().iter().zip(row_built.columns().cols()) {
+                assert_eq!(discriminant(a), discriminant(b));
+            }
+            let mut out = s.collect_rows(None).unwrap();
+            let mut want = execute_reference(&p, &c).unwrap().rows().to_vec();
+            out.sort();
+            want.sort();
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn computed_breaker_inputs_are_column_first() {
+        let c = big_catalog();
+        let (build, p) = padded_union_join(vec![lit_i64(7), Expr::Lit(Value::Null)]);
+        let s = stream(&p, &c).unwrap();
+        let rel = join_build_rel(&s);
+        assert!(
+            rel.columns_cached(),
+            "the build side's image is its storage"
+        );
+        s.collect_rows(None).unwrap();
+        assert!(!rel.rows_cached(), "probing never derives build rows");
+        // Lazily derived rows equal the row-built relation's.
+        assert_eq!(rel.rows(), execute(&build, &c).unwrap().rows());
+        // The except side of a difference is compared on its image too.
+        let ks = Plan::scan("fact").project_names(["k"]);
+        let minus = ks
+            .clone()
+            .difference(ks.select(col("k").lt(lit_i64(BATCH_SIZE as i64))));
+        let s = stream(&minus, &c).unwrap();
+        let Node::Distinct {
+            except: Some(except),
+            ..
+        } = &s.root
+        else {
+            panic!("difference prepares a seen-set with an except side");
+        };
+        let rows = s.collect_rows(None).unwrap();
+        assert!(except.right.columns_cached() && !except.right.rows_cached());
+        assert_eq!(rows, execute_reference(&minus, &c).unwrap().rows());
+    }
+
+    #[test]
+    fn breaker_charge_is_the_row_footprint_sum() {
+        let rel = Relation::from_rows(
+            ["i", "s"],
+            (0..5)
+                .map(|i| vec![Value::Int(i), Value::str(format!("s{i}"))])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let img = rel.columns();
+        let owned = |vals: Vec<Value>| Arc::new(Column::from_values(vals));
+        let int_n = owned(vec![Value::Int(1), Value::Null, Value::Int(3), Value::Null]);
+        let str_n = owned(vec![
+            Value::Null,
+            Value::str("abc"),
+            Value::Null,
+            Value::str(""),
+        ]);
+        let mixed = owned(vec![
+            Value::Bool(true),
+            Value::Int(5),
+            Value::str("xy"),
+            Value::Null,
+        ]);
+        assert!(matches!(*int_n, Column::IntN(..)));
+        assert!(matches!(*str_n, Column::StrN(..)));
+        assert!(matches!(*mixed, Column::Mixed(_)));
+        let b = ColumnBatch {
+            cols: vec![
+                BatchCol::Slice {
+                    col: &img.cols()[0],
+                    start: 1,
+                },
+                BatchCol::View {
+                    col: &img.cols()[1],
+                    sel: Arc::from(vec![4u32, 0, 2, 2]),
+                },
+                BatchCol::Owned(int_n),
+                BatchCol::Owned(str_n),
+                BatchCol::Owned(mixed),
+                BatchCol::Const(Value::str("pad")),
+            ],
+            len: 4,
+        };
+        let want: Vec<usize> = (0..b.len()).map(|p| row_footprint(&b.row(p))).collect();
+        assert_eq!(batch_footprints(&b), want);
+        // End to end: a computed nested-loop inner with Int, Str, IntN,
+        // StrN and Mixed columns charges exactly its rows' footprints.
+        let mut c = big_catalog();
+        c.set_mem_budget(1 << 30);
+        let null = || Expr::Lit(Value::Null);
+        let branch = |pads: [Expr; 3]| {
+            let [a, b, m] = pads;
+            Plan::scan("dim").project(vec![
+                (col("d"), "x".into()),
+                (col("name"), "n".into()),
+                (a, "a".into()),
+                (b, "b".into()),
+                (m, "m".into()),
+            ])
+        };
+        let inner = branch([lit_i64(1), null(), lit_bool(true)]).union(branch([
+            null(),
+            lit_str("p"),
+            lit_i64(3),
+        ]));
+        let p = Plan::scan("dim").join(inner.clone(), col("d").lt(col("x")));
+        let s = stream(&p, &c).unwrap();
+        let Node::NestedLoop(nl) = &s.root else {
+            panic!("theta join prepares a nested loop");
+        };
+        let kinds: Vec<_> = nl
+            .inner
+            .columns()
+            .cols()
+            .iter()
+            .map(std::mem::discriminant)
+            .collect();
+        let want_kinds: Vec<_> = [
+            Column::Int(vec![]),
+            Column::Str(vec![]),
+            Column::IntN(vec![], crate::relation::NullMask::new(0)),
+            Column::StrN(vec![], crate::relation::NullMask::new(0)),
+            Column::Mixed(vec![]),
+        ]
+        .iter()
+        .map(std::mem::discriminant)
+        .collect();
+        assert_eq!(kinds, want_kinds);
+        let want: usize = execute(&inner, &c)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(row_footprint)
+            .sum();
+        assert_eq!(s.stats().peak_tracked_bytes, want);
     }
 
     #[test]

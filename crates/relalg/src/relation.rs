@@ -1,5 +1,7 @@
 //! Materialized relations with shared row storage and a cached
-//! column-major image for the batched executor.
+//! column-major image for the batched executor. Breaker outputs are
+//! column-first: their image is their storage and rows are derived on
+//! demand.
 
 use crate::error::{Error, Result};
 use crate::fxhash::FxHasher;
@@ -142,6 +144,19 @@ impl Column {
                 }
             }
             Column::Mixed(v) => v[idx].clone(),
+        }
+    }
+
+    /// [`Value::size_bytes`] of the value at `idx`, without cloning it.
+    #[inline]
+    pub(crate) fn value_size(&self, idx: usize) -> usize {
+        match self {
+            Column::Int(_) => 8,
+            Column::Str(v) => v[idx].len(),
+            Column::IntN(_, m) | Column::StrN(_, m) if m.is_null(idx) => 1,
+            Column::IntN(..) => 8,
+            Column::StrN(v, _) => v[idx].len(),
+            Column::Mixed(v) => v[idx].size_bytes(),
         }
     }
 
@@ -310,6 +325,82 @@ impl Column {
     }
 }
 
+/// A [`Column`] under construction: breaker buffers append the values
+/// of each batch column here. Integer and string runs append typed; the
+/// first value that breaks the run (a null, a boolean, another type)
+/// switches to a value fallback that [`ColumnBuilder::finish`] compacts
+/// with [`Column::from_values`] — so the result is always the variant
+/// a row-built image of the same values gets.
+#[derive(Debug)]
+pub(crate) enum ColumnBuilder {
+    Int(Vec<i64>),
+    Str(Vec<Arc<str>>),
+    Values(Vec<Value>),
+}
+
+impl Default for ColumnBuilder {
+    fn default() -> Self {
+        ColumnBuilder::Values(Vec::new())
+    }
+}
+
+impl ColumnBuilder {
+    /// Append the rows `idx` of `col`.
+    pub(crate) fn extend_from(&mut self, col: &Column, idx: impl ExactSizeIterator<Item = usize>) {
+        match (&mut *self, col) {
+            (ColumnBuilder::Int(out), Column::Int(v)) => out.extend(idx.map(|i| v[i])),
+            (ColumnBuilder::Str(out), Column::Str(v)) => {
+                out.extend(idx.map(|i| Arc::clone(&v[i])));
+            }
+            (ColumnBuilder::Values(out), Column::Int(v)) if out.is_empty() && idx.len() > 0 => {
+                *self = ColumnBuilder::Int(idx.map(|i| v[i]).collect());
+            }
+            (ColumnBuilder::Values(out), Column::Str(v)) if out.is_empty() && idx.len() > 0 => {
+                *self = ColumnBuilder::Str(idx.map(|i| Arc::clone(&v[i])).collect());
+            }
+            _ => self.values().extend(idx.map(|i| col.get(i))),
+        }
+    }
+
+    /// Append one value.
+    pub(crate) fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (ColumnBuilder::Int(out), Value::Int(x)) => out.push(x),
+            (ColumnBuilder::Str(out), Value::Str(s)) => out.push(s),
+            (ColumnBuilder::Values(out), Value::Int(x)) if out.is_empty() => {
+                *self = ColumnBuilder::Int(vec![x]);
+            }
+            (ColumnBuilder::Values(out), Value::Str(s)) if out.is_empty() => {
+                *self = ColumnBuilder::Str(vec![s]);
+            }
+            (_, v) => self.values().push(v),
+        }
+    }
+
+    /// Switch to the value fallback, keeping every value so far.
+    fn values(&mut self) -> &mut Vec<Value> {
+        let vals = match std::mem::take(self) {
+            ColumnBuilder::Int(v) => v.into_iter().map(Value::Int).collect(),
+            ColumnBuilder::Str(v) => v.into_iter().map(Value::Str).collect(),
+            ColumnBuilder::Values(v) => v,
+        };
+        *self = ColumnBuilder::Values(vals);
+        match self {
+            ColumnBuilder::Values(v) => v,
+            _ => unreachable!("just switched to values"),
+        }
+    }
+
+    /// The finished column.
+    pub(crate) fn finish(self) -> Column {
+        match self {
+            ColumnBuilder::Int(v) => Column::Int(v),
+            ColumnBuilder::Str(v) => Column::Str(v),
+            ColumnBuilder::Values(v) => Column::from_values(v),
+        }
+    }
+}
+
 /// The column-major image of a relation: one [`Column`] per schema
 /// column, all of equal length. Built lazily by [`Relation::columns`]
 /// and cached, so repeated queries over a shared catalog pay the
@@ -328,6 +419,16 @@ impl ColumnarImage {
                 .collect(),
             len: rows.len(),
         }
+    }
+
+    /// Row `idx`, assembled from the columns.
+    pub(crate) fn row(&self, idx: usize) -> Row {
+        self.cols.iter().map(|c| c.get(idx)).collect()
+    }
+
+    /// Every row, assembled from the columns.
+    pub(crate) fn rows(&self) -> Vec<Row> {
+        (0..self.len).map(|i| self.row(i)).collect()
     }
 
     /// The columns.
@@ -362,13 +463,18 @@ impl ColumnarImage {
 }
 
 /// Where a relation's tuples live: in memory (the default), or in an
-/// opened on-disk segment store with the row form decoded lazily on
-/// first demand — disk-resident base tables never pay for a row store
-/// the batched segment scan does not need.
+/// opened on-disk segment store. Either may derive its row form lazily
+/// on first demand — neither a buffered breaker input nor a
+/// disk-resident base table pays for a row store the batched executor
+/// does not need.
 #[derive(Clone, Debug)]
 enum RowStore {
-    /// Plain in-memory rows, shared across clones and renames.
-    Mem(Arc<Vec<Row>>),
+    /// In-memory rows, shared across clones and renames. Set at
+    /// construction for row-built relations. A column-first relation
+    /// (see [`Relation::from_columns`]) keeps its data in its columnar
+    /// image and assembles the rows from it (once) only when an
+    /// operator genuinely needs the row form.
+    Mem(OnceLock<Arc<Vec<Row>>>),
     /// An opened on-disk segment image; `rows` materializes (once) only
     /// when an operator genuinely needs the row form.
     Disk {
@@ -436,7 +542,7 @@ impl Relation {
     pub fn empty(schema: Schema) -> Self {
         Relation {
             schema,
-            rows: RowStore::Mem(Arc::new(Vec::new())),
+            rows: RowStore::Mem(OnceLock::from(Arc::new(Vec::new()))),
             columnar: OnceLock::new(),
             segmented: Mutex::new(None),
             disk: Mutex::new(None),
@@ -444,10 +550,11 @@ impl Relation {
     }
 
     /// The in-memory row storage, decoding a disk-backed relation's
-    /// segments on first demand (cached for the relation's lifetime).
+    /// segments or assembling a column-first relation's rows on first
+    /// demand (cached for the relation's lifetime).
     fn rows_arc(&self) -> &Arc<Vec<Row>> {
         match &self.rows {
-            RowStore::Mem(rows) => rows,
+            RowStore::Mem(rows) => rows.get_or_init(|| Arc::new(self.columns().rows())),
             RowStore::Disk { image, rows } => {
                 // Infallible interface: a decode failure unwinds with the
                 // Error payload and is converted back to `Err` at the pull
@@ -457,15 +564,17 @@ impl Relation {
         }
     }
 
-    /// Fork disk-backed storage into plain memory rows ahead of a
-    /// mutation, and drop any scratch spill image (it describes the
-    /// pre-mutation rows).
-    fn make_mem(&mut self) {
-        if let RowStore::Disk { .. } = self.rows {
-            let rows = Arc::clone(self.rows_arc());
-            self.rows = RowStore::Mem(rows);
-        }
+    /// The in-memory rows ahead of a mutation: disk-backed and
+    /// column-first storage fork into plain memory rows, and any scratch
+    /// spill image (it describes the pre-mutation rows) is dropped.
+    fn rows_mut(&mut self) -> &mut Arc<Vec<Row>> {
+        let rows = Arc::clone(self.rows_arc());
+        self.rows = RowStore::Mem(OnceLock::from(rows));
         *self.disk.lock().expect("disk cache") = None;
+        let RowStore::Mem(rows) = &mut self.rows else {
+            unreachable!("just set to memory storage");
+        };
+        rows.get_mut().expect("just set")
     }
 
     /// Relation from parts; every row must match the schema arity.
@@ -480,8 +589,28 @@ impl Relation {
         }
         Ok(Relation {
             schema,
-            rows: RowStore::Mem(Arc::new(rows)),
+            rows: RowStore::Mem(OnceLock::from(Arc::new(rows))),
             columnar: OnceLock::new(),
+            segmented: Mutex::new(None),
+            disk: Mutex::new(None),
+        })
+    }
+
+    /// Column-first relation: `cols` (one per schema column, `len` rows
+    /// each) become its storage and its cached columnar image, and the
+    /// row form is assembled only if [`Relation::rows`] is called.
+    pub(crate) fn from_columns(schema: Schema, cols: Vec<Column>, len: usize) -> Result<Self> {
+        if cols.len() != schema.arity() {
+            return Err(Error::ArityMismatch {
+                expected: schema.arity(),
+                got: cols.len(),
+            });
+        }
+        debug_assert!(cols.iter().all(|c| c.len() == len));
+        Ok(Relation {
+            schema,
+            rows: RowStore::Mem(OnceLock::new()),
+            columnar: OnceLock::from(Arc::new(ColumnarImage { cols, len })),
             segmented: Mutex::new(None),
             disk: Mutex::new(None),
         })
@@ -581,7 +710,7 @@ impl Relation {
     /// no row materialization).
     pub fn len(&self) -> usize {
         match &self.rows {
-            RowStore::Mem(rows) => rows.len(),
+            RowStore::Mem(rows) => rows.get().map_or_else(|| self.columns().len(), |r| r.len()),
             RowStore::Disk { image, .. } => image.len(),
         }
     }
@@ -591,8 +720,9 @@ impl Relation {
         self.len() == 0
     }
 
-    /// Iterate rows (decodes a disk-backed relation's segments on first
-    /// call; the batched executor reads segments directly instead).
+    /// Iterate rows (decodes a disk-backed relation's segments, or
+    /// assembles a column-first relation's rows, on first call; the
+    /// batched executor reads segments and images directly instead).
     pub fn rows(&self) -> &[Row] {
         self.rows_arc()
     }
@@ -609,6 +739,17 @@ impl Relation {
     /// for the conversion-caching guarantee).
     pub fn columns_cached(&self) -> bool {
         self.columnar.get().is_some()
+    }
+
+    /// `true` iff the row form is materialized: always for row-built
+    /// relations, and for column-first and disk-backed ones only once
+    /// [`Relation::rows`] derived it (test hook for the column-first
+    /// breaker guarantee).
+    #[cfg(test)]
+    pub(crate) fn rows_cached(&self) -> bool {
+        match &self.rows {
+            RowStore::Mem(rows) | RowStore::Disk { rows, .. } => rows.get().is_some(),
+        }
     }
 
     /// The compressed segmented image at `seg_rows` rows per segment,
@@ -651,7 +792,11 @@ impl Relation {
     /// zero-copy tests; content equality is `==` / [`Relation::set_eq`]).
     pub fn shares_rows_with(&self, other: &Relation) -> bool {
         match (&self.rows, &other.rows) {
-            (RowStore::Mem(a), RowStore::Mem(b)) => Arc::ptr_eq(a, b),
+            (RowStore::Mem(a), RowStore::Mem(b)) => match (a.get(), b.get()) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                // Column-first storage is the image.
+                _ => std::ptr::eq(self.columns(), other.columns()),
+            },
             (RowStore::Disk { image: a, .. }, RowStore::Disk { image: b, .. }) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -662,9 +807,10 @@ impl Relation {
     /// rows with its input even inside a freshly built `Relation`.
     pub fn owns_rows(&self) -> bool {
         match &self.rows {
-            RowStore::Mem(rows) => Arc::strong_count(rows) == 1,
-            // Disk-backed rows are a decoded view of the image; consuming
-            // them never hands back the storage for free.
+            // Column-first rows (while underived) and disk-backed rows
+            // are a derived view of an image; consuming them never hands
+            // back the storage for free.
+            RowStore::Mem(rows) => rows.get().is_some_and(|r| Arc::strong_count(r) == 1),
             RowStore::Disk { .. } => false,
         }
     }
@@ -678,11 +824,7 @@ impl Relation {
                 got: row.len(),
             });
         }
-        self.make_mem();
-        let RowStore::Mem(rows) = &mut self.rows else {
-            unreachable!("make_mem leaves memory storage");
-        };
-        Arc::make_mut(rows).push(row.into_boxed_slice());
+        Arc::make_mut(self.rows_mut()).push(row.into_boxed_slice());
         self.columnar = OnceLock::new(); // rows changed: images are stale
         self.segmented = Mutex::new(None);
         Ok(())
@@ -691,24 +833,27 @@ impl Relation {
     /// Consume into rows. Free when the storage is unshared; otherwise
     /// clones the tuples (someone else keeps the original).
     pub fn into_rows(self) -> Vec<Row> {
-        Self::store_into_rows(self.rows)
+        self.into_parts().1
     }
 
     /// Consume into schema and rows (same sharing semantics as
     /// [`Relation::into_rows`]).
     pub fn into_parts(self) -> (Schema, Vec<Row>) {
-        (self.schema, Self::store_into_rows(self.rows))
-    }
-
-    fn store_into_rows(store: RowStore) -> Vec<Row> {
-        let rows = match store {
-            RowStore::Mem(rows) => rows,
+        let rows = match self.rows {
+            RowStore::Mem(rows) => match rows.into_inner() {
+                Some(rows) => rows,
+                None => {
+                    let image = self.columnar.get().expect("column-first image");
+                    return (self.schema, image.rows());
+                }
+            },
             RowStore::Disk { image, rows } => match rows.into_inner() {
                 Some(rows) => rows,
-                None => return crate::fault::rethrow(image.decode_rows()),
+                None => return (self.schema, crate::fault::rethrow(image.decode_rows())),
             },
         };
-        Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone())
+        let rows = Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
+        (self.schema, rows)
     }
 
     /// Replace the schema (e.g. after a rename); arities must agree. The
@@ -737,7 +882,7 @@ impl Relation {
         rows.dedup();
         Relation {
             schema: self.schema.clone(),
-            rows: RowStore::Mem(Arc::new(rows)),
+            rows: RowStore::Mem(OnceLock::from(Arc::new(rows))),
             columnar: OnceLock::new(),
             segmented: Mutex::new(None),
             disk: Mutex::new(None),
@@ -746,11 +891,7 @@ impl Relation {
 
     /// In-place sort + dedup (copy-on-write).
     pub fn dedup_in_place(&mut self) {
-        self.make_mem();
-        let RowStore::Mem(rows) = &mut self.rows else {
-            unreachable!("make_mem leaves memory storage");
-        };
-        let rows = Arc::make_mut(rows);
+        let rows = Arc::make_mut(self.rows_mut());
         rows.sort();
         rows.dedup();
         self.columnar = OnceLock::new(); // rows changed: images are stale
@@ -762,10 +903,20 @@ impl Relation {
     /// accumulated exactly this sum while streaming.
     pub fn size_bytes(&self) -> usize {
         match &self.rows {
-            RowStore::Mem(rows) => rows
-                .iter()
-                .map(|r| r.iter().map(Value::size_bytes).sum::<usize>())
-                .sum(),
+            RowStore::Mem(rows) => match rows.get() {
+                Some(rows) => rows
+                    .iter()
+                    .map(|r| r.iter().map(Value::size_bytes).sum::<usize>())
+                    .sum(),
+                None => {
+                    let image = self.columns();
+                    image
+                        .cols()
+                        .iter()
+                        .map(|c| (0..image.len()).map(|i| c.value_size(i)).sum::<usize>())
+                        .sum()
+                }
+            },
             RowStore::Disk { image, .. } => image.stats().bytes,
         }
     }
